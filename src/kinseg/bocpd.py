@@ -270,11 +270,6 @@ class HypothesisSet:
         )
         return mu_n, kappa_n, nu_n, sigma_n
 
-    def params_at(self, i: int) -> NormalWishartParams:
-        """Posterior parameters of hypothesis i (for inspection and tests)."""
-        mu_n, kappa_n, nu_n, sigma_n = self._posterior_param_arrays()
-        return NormalWishartParams(mu_n[i], kappa_n[i], nu_n[i], sigma_n[i])
-
     def log_predictives(self, o) -> np.ndarray:
         """Log predictive density of ``o`` under every hypothesis."""
         o = np.asarray(o, dtype=float).ravel()
@@ -283,12 +278,6 @@ class HypothesisSet:
         df = nu_n - d + 1.0
         coef = (kappa_n + 1.0) / (kappa_n * df)
         return _mvt_logpdf_batch(o[None, :], mu_n, sigma_n * coef[:, None, None], df)
-
-    def posterior_column(self, size: int) -> np.ndarray:
-        """Dense probability column indexed by run length."""
-        col = np.zeros(size)
-        col[self.run_lengths] = np.exp(self.log_weights)
-        return col
 
     def pruned(self, threshold: float) -> "HypothesisSet":
         """Drop hypotheses below ``threshold`` posterior mass and renormalise."""

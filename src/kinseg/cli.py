@@ -15,13 +15,12 @@ the output directory (and nothing else).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import kinematics, metrics, pipeline, segmentation, simulate, synthgen
+from . import kinematics, metrics, pipeline, segmentation, simulate, synthgen, tables
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -53,6 +52,28 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
                    help="within-posture noise scale sigma")
     p.add_argument("--separation", type=float, default=3.0,
                    help="minimum posture mean separation in sigma units")
+
+
+def _add_inference_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--hazard", type=float, default=0.01)
+    p.add_argument("--log-threshold", type=float, default=0.3)
+    p.add_argument("--min-run", type=float, default=20.0)
+    p.add_argument("--tolerance", type=int, default=3)
+    p.add_argument("--sigma-epsilon", type=float, default=1e-8)
+    p.add_argument("--prune", type=float, default=None,
+                   help="hypothesis pruning threshold (default: off)")
+
+
+def _inference_settings(args) -> dict:
+    """The PipelineConfig fields set by the flags of _add_inference_flags."""
+    return dict(
+        hazard_p=args.hazard,
+        log_threshold=args.log_threshold,
+        min_run=args.min_run,
+        tolerance=args.tolerance,
+        sigma_epsilon=args.sigma_epsilon,
+        prune_threshold=args.prune,
+    )
 
 
 def _session_config(args, seed: int) -> simulate.SessionConfig:
@@ -112,31 +133,21 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _detect_input_kind(path: str) -> str:
-    kind, _, _ = kinematics.read_orientation_csv(path)
-    return kind
-
-
 def _cmd_run(args) -> int:
-    input_kind = _detect_input_kind(args.input)
-    source = args.embedding or ("external" if input_kind == "embedding" else "adr")
-    prior = args.prior or ("noninformative" if source == "external" else "informative")
+    data = kinematics.read_orientation_csv(args.input)
+    # defaults follow the input header: embeddings are taken as external
+    source = args.embedding or ("external" if data[0] == "embedding" else "adr")
     config = pipeline.PipelineConfig(
         input_path=args.input,
         output_dir=_output_dir(args.out),
         embedding_source=source,
-        prior_kind=prior,
+        prior_kind=args.prior or pipeline.PAIRED_PRIOR[source],
         decimation=args.decimation,
-        hazard_p=args.hazard,
         postprocess=not args.no_postprocess,
-        log_threshold=args.log_threshold,
-        min_run=args.min_run,
-        tolerance=args.tolerance,
-        sigma_epsilon=args.sigma_epsilon,
-        prune_threshold=args.prune,
         labels_path=args.labels,
+        **_inference_settings(args),
     )
-    report = pipeline.run_pipeline(config)
+    report = pipeline.run_pipeline(config, data)
     n_segments = len(report["segments"])
     line = f"segments={n_segments} out={config.output_dir}"
     if report["metrics"] is not None:
@@ -157,12 +168,7 @@ def _cmd_sweep(args) -> int:
         input_path="<simulated>",
         output_dir=out,
         decimation=1,
-        hazard_p=args.hazard,
-        log_threshold=args.log_threshold,
-        min_run=args.min_run,
-        tolerance=args.tolerance,
-        sigma_epsilon=args.sigma_epsilon,
-        prune_threshold=args.prune,
+        **_inference_settings(args),
     )
     variants = pipeline.VARIANTS if args.variants == "all" else tuple(args.variants.split(","))
     sweep = pipeline.run_variant_sweep(
@@ -184,11 +190,9 @@ def _cmd_eval(args) -> int:
     segments = segmentation.read_segments_csv(args.predicted)
     ground_truth = metrics.read_labels_csv(args.labels)
     evaluation = metrics.evaluate_segmentation(segments, ground_truth, args.tolerance)
-    payload = json.dumps(evaluation.as_dict(), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    print(payload)
+        tables.write_json(args.out, evaluation.as_dict())
+    print(tables.json_text(evaluation.as_dict()), end="")
     return EXIT_OK
 
 
@@ -225,15 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", choices=("informative", "noninformative"), default=None,
                    help="prior kind (default: paired with the embedding source)")
     p.add_argument("--decimation", type=int, default=100)
-    p.add_argument("--hazard", type=float, default=0.01)
     p.add_argument("--no-postprocess", action="store_true")
-    p.add_argument("--log-threshold", type=float, default=0.3)
-    p.add_argument("--min-run", type=float, default=20.0)
-    p.add_argument("--tolerance", type=int, default=3)
-    p.add_argument("--sigma-epsilon", type=float, default=1e-8)
-    p.add_argument("--prune", type=float, default=None,
-                   help="hypothesis pruning threshold (default: off)")
     p.add_argument("--labels", default=None, help="ground-truth labels CSV")
+    _add_inference_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="evaluate variants over seeded sessions")
@@ -243,12 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default="all",
                    help="comma list from: " + ",".join(pipeline.VARIANTS))
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--hazard", type=float, default=0.01)
-    p.add_argument("--log-threshold", type=float, default=0.3)
-    p.add_argument("--min-run", type=float, default=20.0)
-    p.add_argument("--tolerance", type=int, default=3)
-    p.add_argument("--sigma-epsilon", type=float, default=1e-8)
-    p.add_argument("--prune", type=float, default=None)
+    _add_inference_flags(p)
     _add_session_flags(p)
     p.set_defaults(func=_cmd_sweep)
 

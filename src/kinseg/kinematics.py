@@ -10,10 +10,11 @@ Externally computed embeddings can be ingested as-is (unconstrained).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import tables
 
 ZERO_ANGLE_EPS = 1e-8
 DEFAULT_AXIS = (0.0, 0.0, 1.0)
@@ -144,7 +145,6 @@ class EmbeddingSeries:
     timestamps: np.ndarray
     source: str = "adr"
     unconstrained: bool = False
-    sample_rate_hz: float | None = None
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -176,12 +176,8 @@ def decimate(series, factor: int):
         raise ValueError(f"decimation factor must be an integer >= 1, got {factor}")
     factor = int(factor)
     if isinstance(series, EmbeddingSeries):
-        rate = series.sample_rate_hz / factor if series.sample_rate_hz else None
         return replace(
-            series,
-            values=series.values[::factor],
-            timestamps=series.timestamps[::factor],
-            sample_rate_hz=rate,
+            series, values=series.values[::factor], timestamps=series.timestamps[::factor]
         )
     return np.asarray(series)[::factor]
 
@@ -196,47 +192,21 @@ def read_orientation_csv(path):
         (kind, timestamps, values) where kind is one of "quaternion",
         "axisangle", "embedding".
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        kind = _CSV_LAYOUTS.get(header)
-        if kind is None:
-            raise ValueError(f"{path}: unrecognised header {','.join(header)!r}")
-        try:
-            data = np.array([[float(c) for c in row] for row in reader if row])
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed numeric row ({exc})") from None
-    if data.size == 0:
+    header, data = tables.read_csv(path, _CSV_LAYOUTS)
+    if not len(data):
         raise ValueError(f"{path}: no data rows")
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: row width does not match header")
-    return kind, data[:, 0], data[:, 1:]
+    return _CSV_LAYOUTS[header], data[:, 0], data[:, 1:]
 
 
 def write_embedding_csv(path, series: EmbeddingSeries) -> int:
     """Write an embedding series as t,o1,o2,o3 rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "o1", "o2", "o3"])
-        for t, row in zip(series.timestamps, series.values):
-            writer.writerow([repr(float(t))] + [repr(float(c)) for c in row])
+    tables.write_csv(path, ("t", "o1", "o2", "o3"),
+                     np.column_stack([series.timestamps, series.values]))
     return len(series)
 
 
 def write_axis_angle_csv(path, timestamps, axes, angles) -> int:
     """Write an axis-angle series as t,x1,x2,x3,x4 rows."""
-    axes = np.atleast_2d(np.asarray(axes, dtype=float))
-    angles = np.asarray(angles, dtype=float).ravel()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x1", "x2", "x3", "x4"])
-        for t, axis, angle in zip(timestamps, axes, angles):
-            writer.writerow(
-                [repr(float(t))]
-                + [repr(float(c)) for c in axis]
-                + [repr(float(angle))]
-            )
-    return len(angles)
+    rows = np.column_stack([timestamps, axes, angles])
+    tables.write_csv(path, ("t", "x1", "x2", "x3", "x4"), rows)
+    return len(rows)

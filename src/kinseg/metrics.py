@@ -9,10 +9,13 @@ predicted and ground-truth inactivity durations.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import tables
+
+LABELS_HEADER = ("segment_start", "segment_end")
 
 
 @dataclass(frozen=True)
@@ -171,9 +174,5 @@ def evaluate_segmentation(segments, ground_truth, tolerance: int = 3) -> Evaluat
 
 def read_labels_csv(path) -> list[GroundTruthSegment]:
     """Read ground-truth labels written as segment_start,segment_end rows."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["segment_start", "segment_end"]:
-            raise ValueError(f"{path}: not a labels CSV")
-        return [GroundTruthSegment(int(row[0]), int(row[1])) for row in reader if row]
+    _, rows = tables.read_csv(path, [LABELS_HEADER], dtype=int)
+    return [GroundTruthSegment(start, end) for start, end in rows.tolist()]

@@ -11,7 +11,6 @@ evaluation metrics.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -19,14 +18,22 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import bocpd, kinematics, metrics, segmentation, simulate
+from . import bocpd, kinematics, metrics, segmentation, simulate, tables
 
 OUTPUT_DIR_ENV = "KINSEG_OUT_DIR"
+
+#: The prior each embedding source pairs with by default.
+PAIRED_PRIOR = {"adr": "informative", "external": "noninformative"}
 
 #: The four pipeline variants: embedding source (with its paired prior)
 #: crossed with postprocessing on/off. Order is fixed for deterministic
 #: sweep output.
-VARIANTS = ("adr_post", "adr_nopost", "external_post", "external_nopost")
+VARIANTS = {
+    "adr_post": ("adr", "informative", True),
+    "adr_nopost": ("adr", "informative", False),
+    "external_post": ("external", "noninformative", True),
+    "external_nopost": ("external", "noninformative", False),
+}
 
 
 @dataclass(frozen=True)
@@ -79,9 +86,10 @@ def _atomic_write(path: str, write_fn) -> None:
         raise
 
 
-def load_embedding_series(config: PipelineConfig) -> kinematics.EmbeddingSeries:
-    """Read the input file and produce the decimated embedding series."""
-    kind, timestamps, values = kinematics.read_orientation_csv(config.input_path)
+def load_embedding_series(config: PipelineConfig, data) -> kinematics.EmbeddingSeries:
+    """The decimated embedding series of an input file read by
+    ``kinematics.read_orientation_csv`` into (kind, timestamps, values)."""
+    kind, timestamps, values = data
     if config.embedding_source == "adr":
         if kind == "quaternion":
             axes, angles = kinematics.quaternion_series_to_axis_angle(values)
@@ -126,15 +134,19 @@ def analyse_series(values, config: PipelineConfig):
     return posterior, raw_trace, post_trace, shifted, segments
 
 
-def run_pipeline(config: PipelineConfig) -> dict:
+def run_pipeline(config: PipelineConfig, data=None) -> dict:
     """Run one full session and write artifacts into the output directory.
 
     Writes segments.csv, runlength.csv, posterior.csv, posterior.pgm and
     report.json (all atomically, after the computation has succeeded).
     When a labels file is configured the report carries detection and
-    segmentation metrics against it.
+    segmentation metrics against it. ``data`` is the input file as
+    ``kinematics.read_orientation_csv`` returns it, for a caller that
+    has already read it; otherwise the file is read here.
     """
-    series = load_embedding_series(config)
+    if data is None:
+        data = kinematics.read_orientation_csv(config.input_path)
+    series = load_embedding_series(config, data)
     ground_truth = (
         metrics.read_labels_csv(config.labels_path) if config.labels_path else None
     )
@@ -173,22 +185,11 @@ def variant_settings(variant: str) -> dict:
     """Embedding source, paired prior and postprocessing flag of a variant."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    source, post = variant.split("_")
-    return {
-        "embedding_source": source,
-        "prior_kind": "informative" if source == "adr" else "noninformative",
-        "postprocess": post == "post",
-    }
+    return dict(zip(("embedding_source", "prior_kind", "postprocess"), VARIANTS[variant]))
 
 
 def _evaluate_variant_on_session(session, variant: str, base: PipelineConfig) -> dict:
-    settings = variant_settings(variant)
-    config = replace(
-        base,
-        embedding_source=settings["embedding_source"],
-        prior_kind=settings["prior_kind"],
-        postprocess=settings["postprocess"],
-    )
+    config = replace(base, **variant_settings(variant))
     *_, segments = analyse_series(session.series.values, config)
     evaluation = metrics.evaluate_segmentation(segments, session.segments, config.tolerance)
     return {
@@ -253,37 +254,23 @@ def run_variant_sweep(
     return {"sessions": rows, "aggregate": aggregate}
 
 
+def _write_sweep_table(path, columns, rows) -> None:
+    _atomic_write(str(path), lambda p: tables.write_csv(
+        p, columns, ([row[c] for c in columns] for row in rows), lineterminator="\n"
+    ))
+
+
 def write_sweep_csv(sweep: dict, path) -> None:
     """Aggregate table as CSV, one row per variant."""
-    def _write(p):
-        with open(p, "w", newline="") as fh:
-            fh.write("variant,sessions,mean_ppv,mean_se,mean_f1,mean_pearson_r\n")
-            for row in sweep["aggregate"]:
-                pearson = "" if row["mean_pearson_r"] is None else repr(row["mean_pearson_r"])
-                fh.write(
-                    f"{row['variant']},{row['sessions']},{row['mean_ppv']!r},"
-                    f"{row['mean_se']!r},{row['mean_f1']!r},{pearson}\n"
-                )
-    _atomic_write(str(path), _write)
+    _write_sweep_table(path, ("variant", "sessions", "mean_ppv", "mean_se", "mean_f1",
+                              "mean_pearson_r"), sweep["aggregate"])
 
 
 def write_session_rows_csv(sweep: dict, path) -> None:
     """One flat CSV row per (variant, session) for downstream aggregation."""
-    def _write(p):
-        with open(p, "w", newline="") as fh:
-            fh.write("variant,seed,ppv,se,f1,pearson_r\n")
-            for row in sweep["sessions"]:
-                pearson = "" if row["pearson_r"] is None else repr(row["pearson_r"])
-                fh.write(
-                    f"{row['variant']},{row['seed']},{row['ppv']!r},"
-                    f"{row['se']!r},{row['f1']!r},{pearson}\n"
-                )
-    _atomic_write(str(path), _write)
+    _write_sweep_table(path, ("variant", "seed", "ppv", "se", "f1", "pearson_r"),
+                       sweep["sessions"])
 
 
 def write_sweep_json(sweep: dict, path) -> None:
-    def _write(p):
-        with open(p, "w") as fh:
-            json.dump(sweep, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    _atomic_write(str(path), _write)
+    _atomic_write(str(path), lambda p: tables.write_json(p, sweep))

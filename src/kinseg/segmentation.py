@@ -12,11 +12,11 @@ elapsed time since the previous event.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import tables
 
 DEFAULT_LOG_DROP = 0.3
 DEFAULT_MIN_RUN = 20.0
@@ -109,16 +109,14 @@ class Segment:
         return self.changepoint - self.duration
 
 
-def build_segments(events, trace=None) -> list[Segment]:
+def build_segments(events) -> list[Segment]:
     """Inactivity segments from filtered reset events.
 
     Each event at index k yields a segment ending at k whose duration is
     the run-length estimate just before the reset (stored on the event
     when it was detected), capped by the elapsed samples since the
     previous retained event (0 for the first): a partial reset at the
-    previous transition must not inflate the next duration. ``trace`` is
-    accepted for callers that hold it alongside the events; the stored
-    pre-reset values already equal trace[k - 1].
+    previous transition must not inflate the next duration.
     """
     segments: list[Segment] = []
     previous = 0
@@ -130,24 +128,24 @@ def build_segments(events, trace=None) -> list[Segment]:
     return segments
 
 
+SEGMENTS_HEADER = ("changepoint_idx", "duration", "start_idx")
+
+
 def segments_to_csv(segments, path) -> int:
     """Write segments as changepoint_idx,duration,start_idx rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["changepoint_idx", "duration", "start_idx"])
-        for seg in segments:
-            writer.writerow([seg.changepoint, repr(float(seg.duration)), repr(float(seg.start))])
+    tables.write_csv(path, SEGMENTS_HEADER, (
+        [seg.changepoint, float(seg.duration), float(seg.start)] for seg in segments
+    ))
     return len(segments)
 
 
 def read_segments_csv(path) -> list[Segment]:
     """Read segments written by ``segments_to_csv``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["changepoint_idx", "duration", "start_idx"]:
-            raise ValueError(f"{path}: not a segments CSV")
-        return [Segment(int(row[0]), float(row[1])) for row in reader if row]
+    _, rows = tables.read_csv(path, [SEGMENTS_HEADER])
+    changepoints = rows[:, 0].astype(int)
+    if np.any(changepoints != rows[:, 0]):
+        raise ValueError(f"{path}: non-integral changepoint index")
+    return [Segment(k, d) for k, d in zip(changepoints.tolist(), rows[:, 1].tolist())]
 
 
 def write_runlength_csv(path, raw, postprocessed) -> None:
@@ -156,11 +154,8 @@ def write_runlength_csv(path, raw, postprocessed) -> None:
     post = np.asarray(postprocessed, dtype=float).ravel()
     if raw.shape != post.shape:
         raise ValueError("raw and postprocessed traces must have equal length")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "runlength", "runlength_postprocessed"])
-        for k, (a, b) in enumerate(zip(raw, post)):
-            writer.writerow([k, repr(float(a)), repr(float(b))])
+    tables.write_csv(path, ("k", "runlength", "runlength_postprocessed"),
+                     zip(range(raw.size), raw.tolist(), post.tolist()))
 
 
 def segmentation_report(segments, raw_trace, post_trace, config: dict) -> dict:
@@ -183,6 +178,4 @@ def segmentation_report(segments, raw_trace, post_trace, config: dict) -> dict:
 
 
 def report_to_json(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(path, report)

@@ -15,17 +15,17 @@ config, so identical configs produce byte-identical sessions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import csv
 
 import numpy as np
 
+from . import tables
 from .kinematics import (
     EmbeddingSeries,
     INNER_RADIUS,
     OUTER_RADIUS,
     adr_invert,
 )
-from .metrics import GroundTruthSegment
+from .metrics import LABELS_HEADER, GroundTruthSegment
 
 # Posture means keep a margin inside the shell so noise rarely clips.
 _MEAN_RADIUS_RANGE = (1.15, 1.85)
@@ -214,9 +214,5 @@ def generate_session_axis_angle(
 
 def write_labels_csv(path, segments) -> int:
     """Write ground truth as segment_start,segment_end rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment_start", "segment_end"])
-        for seg in segments:
-            writer.writerow([seg.start, seg.end])
+    tables.write_csv(path, LABELS_HEADER, ([seg.start, seg.end] for seg in segments))
     return len(segments)

@@ -9,9 +9,9 @@ dataset covering the axis-angle space.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
+
+from . import tables
 
 # Face order is fixed: +x, -x, +y, -y, +z, -z.
 FACE_NORMALS = (
@@ -135,15 +135,6 @@ def dedupe_axes(axes, tol: float = 1e-9) -> np.ndarray:
     _, idx = np.unique(rounded, axis=0, return_index=True)
     return pts[np.sort(idx)]
 
-def min_pairwise_angle(axes) -> float:
-    """Smallest angular distance (radians) between any two axes."""
-    pts = np.asarray(axes, dtype=float)
-    if len(pts) < 2:
-        raise ValueError("need at least two axes")
-    cos = pts @ pts.T
-    np.fill_diagonal(cos, -1.0)
-    return float(np.arccos(np.clip(cos.max(), -1.0, 1.0)))
-
 
 def generate_angle_set(n: int) -> np.ndarray:
     """Descending angle ladder {k*pi/n for k = n .. 1}."""
@@ -179,11 +170,7 @@ def export_dataset_csv(dataset, destination) -> int:
     rows = np.atleast_2d(np.asarray(dataset, dtype=float))
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError("dataset must have four columns: a1, a2, a3, angle_rad")
-    with open(destination, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a1", "a2", "a3", "angle_rad"])
-        for row in rows:
-            writer.writerow([repr(float(c)) for c in row])
+    tables.write_csv(destination, ("a1", "a2", "a3", "angle_rad"), rows)
     return len(rows)
 
 
@@ -192,9 +179,5 @@ def export_axes_csv(axes, destination) -> int:
     pts = np.atleast_2d(np.asarray(axes, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("axes must have three columns")
-    with open(destination, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a1", "a2", "a3"])
-        for row in pts:
-            writer.writerow([repr(float(c)) for c in row])
+    tables.write_csv(destination, ("a1", "a2", "a3"), pts)
     return len(pts)

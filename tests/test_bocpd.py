@@ -16,7 +16,7 @@ from kinseg.bocpd import (
     run_inference,
     step,
 )
-from util_data import monte_carlo_predictive_density
+from util_data import hypothesis_params, monte_carlo_predictive_density
 
 
 def random_series(seed, n=10, d=3):
@@ -98,7 +98,7 @@ class TestPosteriorParams:
                     count = int(hyps.counts[i])
                     window = vals[k - count:k]
                     batch = nw_posterior_params(prior, window)
-                    cached = hyps.params_at(i)
+                    cached = hypothesis_params(hyps, i)
                     assert np.allclose(cached.mu, batch.mu, atol=1e-9)
                     assert cached.kappa == pytest.approx(batch.kappa, abs=1e-9)
                     assert cached.nu == pytest.approx(batch.nu, abs=1e-9)
@@ -157,7 +157,8 @@ class TestStep:
         for p in (0.01, 0.2):
             hyps = HypothesisSet.initial(informative_prior())
             out = step(hyps, [1.2, 0.3, -0.4], HazardConfig(p))
-            col = out.posterior_column(2)
+            col = np.zeros(2)
+            col[out.run_lengths] = np.exp(out.log_weights)
             assert col == pytest.approx([p, 1.0 - p], abs=1e-15)
             assert len(out) == 2
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kinseg import cli, metrics, pipeline, simulate
+from kinseg import cli, kinematics, metrics, pipeline, simulate
 from kinseg.pipeline import PipelineConfig
 
 
@@ -147,6 +147,26 @@ class TestRunCommand:
         bad.write_text("a,b\n1,2\n")
         rc = run_cli("run", "--input", str(bad), "--out", str(tmp_path / "o"))
         assert rc == 1
+
+    @pytest.mark.parametrize("row", ["1.0,nan,0.0,0.0", "1.0,1.5,inf,0.0", "nan,1.5,0.0,0.0"],
+                             ids=["nan_value", "inf_value", "nan_timestamp"])
+    def test_non_finite_input_exit_1_at_ingest(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,o1,o2,o3\n0.0,1.5,0.0,0.0\n{row}\n2.0,1.5,0.0,0.0\n")
+        out = tmp_path / "o"
+        rc = run_cli("run", "--input", str(bad), "--decimation", "1", "--out", str(out))
+        assert rc == 1
+        assert "data row 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_input_read_once(self, session_dir, tmp_path, monkeypatch):
+        calls = []
+        read = kinematics.read_orientation_csv
+        monkeypatch.setattr(kinematics, "read_orientation_csv",
+                            lambda path: calls.append(path) or read(path))
+        assert run_cli("run", "--input", str(session_dir / "session.csv"),
+                       "--out", str(tmp_path / "o")) == 0
+        assert len(calls) == 1
 
     def test_bad_flag_exit_1(self, tmp_path):
         assert run_cli("run", "--input", "x", "--out", "y", "--embedding", "zzz") == 1

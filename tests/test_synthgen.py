@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kinseg import synthgen
-from util_data import random_surface_points
+from util_data import min_pairwise_angle, random_surface_points
 
 
 class TestFaceGrid:
@@ -126,7 +126,7 @@ class TestEllipsoidalProjection:
         mesh = synthgen.build_cube_mesh(15)
         ell = synthgen.dedupe_axes(synthgen.project_ellipsoidal(mesh))
         euc = synthgen.dedupe_axes(synthgen.project_euclidean(mesh))
-        assert synthgen.min_pairwise_angle(ell) > synthgen.min_pairwise_angle(euc)
+        assert min_pairwise_angle(ell) > min_pairwise_angle(euc)
 
 
 class TestAngleSet:

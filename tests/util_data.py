@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from kinseg.bocpd import NormalWishartParams
+
 
 def random_surface_points(rng, n):
     """Random points on the cube surface: random face, random in-plane coords."""
@@ -70,3 +72,19 @@ def two_segment_series(rng, length_a, length_b, mean_a, mean_b, sigma):
     a = np.asarray(mean_a, float) + sigma * rng.standard_normal((length_a, 3))
     b = np.asarray(mean_b, float) + sigma * rng.standard_normal((length_b, 3))
     return np.vstack([a, b])
+
+
+def hypothesis_params(hyps, i):
+    """Posterior Normal-Wishart parameters of hypothesis i of a HypothesisSet."""
+    mu_n, kappa_n, nu_n, sigma_n = hyps._posterior_param_arrays()
+    return NormalWishartParams(mu_n[i], kappa_n[i], nu_n[i], sigma_n[i])
+
+
+def min_pairwise_angle(axes):
+    """Smallest angular distance (radians) between any two axes."""
+    pts = np.asarray(axes, dtype=float)
+    if len(pts) < 2:
+        raise ValueError("need at least two axes")
+    cos = pts @ pts.T
+    np.fill_diagonal(cos, -1.0)
+    return float(np.arccos(np.clip(cos.max(), -1.0, 1.0)))
