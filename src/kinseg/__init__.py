@@ -3,7 +3,9 @@
 from .bocpd import (
     HazardConfig,
     NormalWishartParams,
+    RunLengthPosterior,
     brute_force_posterior,
+    infer_posterior,
     informative_prior,
     log_predictive,
     noninformative_prior,
@@ -35,6 +37,7 @@ from .segmentation import (
     detect_resets,
     filter_repetitive_resets,
     lms_estimate,
+    lms_trace,
     postprocess_runlength,
 )
 from .simulate import LabeledSession, SessionConfig, generate_session, generate_session_axis_angle

@@ -336,31 +336,69 @@ def step(hypotheses: HypothesisSet, o, hazard: HazardConfig) -> HypothesisSet:
     )
 
 
-def run_inference(series, prior: NormalWishartParams, hazard: HazardConfig,
-                  prune_threshold: float | None = None) -> np.ndarray:
-    """Full run-length posterior matrix for an embedding series.
+@dataclass(frozen=True, eq=False)
+class RunLengthPosterior:
+    """The (T+1) x (T+1) run-length posterior, stored column by column.
 
-    Returns a (T+1) x (T+1) matrix with rows indexed by run length and
-    columns by time step; column k is P(run length | first k
-    observations), column 0 is the point mass at zero. A run length can
-    never exceed the elapsed steps, so entries below the diagonal are
-    exactly zero. With ``prune_threshold`` set, hypotheses
-    whose posterior falls below it are dropped after each step, keeping
-    memory near linear; with it unset the hypothesis set at column k has
-    exactly k + 1 members.
+    Column k holds the nonzero posterior weights after k observations:
+    ``weights[indptr[k]:indptr[k + 1]]`` at rows
+    ``run_lengths[indptr[k]:indptr[k + 1]]``. Every other cell is exactly
+    zero, so memory scales with the live hypotheses, not with T².
+    """
+
+    size: int
+    indptr: np.ndarray
+    run_lengths: np.ndarray
+    weights: np.ndarray
+
+    def steps(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Column (time step) of each entry stored for columns start..stop-1."""
+        stop = self.size if stop is None else min(stop, self.size)
+        return np.repeat(np.arange(start, stop), np.diff(self.indptr[start:stop + 1]))
+
+    def toarray(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Columns start..stop-1 as a dense (T+1)-row matrix (all by default)."""
+        stop = self.size if stop is None else min(stop, self.size)
+        a, b = self.indptr[start], self.indptr[stop]
+        dense = np.zeros((self.size, stop - start))
+        dense[self.run_lengths[a:b], self.steps(start, stop) - start] = self.weights[a:b]
+        return dense
+
+
+def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
+                    prune_threshold: float | None = None) -> RunLengthPosterior:
+    """Run-length posterior of an embedding series, one column per step.
+
+    Column k is P(run length | first k observations); column 0 is the
+    point mass at zero. A run length can never exceed the elapsed steps,
+    so the matrix is upper triangular. With ``prune_threshold`` set,
+    hypotheses whose posterior falls below it are dropped after each step
+    (column k still holds every weight computed at step k); with it unset
+    the hypothesis set at column k has exactly k + 1 members. Weights that
+    underflow to zero are not stored.
     """
     values = getattr(series, "values", series)
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    T = values.shape[0]
-    posterior = np.zeros((T + 1, T + 1))
-    posterior[0, 0] = 1.0
     hyps = HypothesisSet.initial(prior)
-    for k in range(1, T + 1):
-        hyps = step(hyps, values[k - 1], hazard)
-        posterior[hyps.run_lengths, k] = np.exp(hyps.log_weights)
+    run_lengths, weights = [hyps.run_lengths], [np.exp(hyps.log_weights)]
+    for o in values:
+        hyps = step(hyps, o, hazard)
+        w = np.exp(hyps.log_weights)
+        nonzero = w > 0.0
+        run_lengths.append(hyps.run_lengths[nonzero])
+        weights.append(w[nonzero])
         if prune_threshold is not None:
             hyps = hyps.pruned(prune_threshold)
-    return posterior
+    indptr = np.concatenate(([0], np.cumsum([len(w) for w in weights])))
+    return RunLengthPosterior(len(weights), indptr, np.concatenate(run_lengths),
+                              np.concatenate(weights))
+
+
+def run_inference(series, prior: NormalWishartParams, hazard: HazardConfig,
+                  prune_threshold: float | None = None) -> np.ndarray:
+    """``infer_posterior`` as a dense (T+1) x (T+1) matrix, rows indexed by
+    run length and columns by time step."""
+    return infer_posterior(series, prior, hazard, prune_threshold).toarray()
 
 
 def brute_force_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
@@ -417,23 +455,54 @@ def brute_force_posterior(series, prior: NormalWishartParams, hazard: HazardConf
     return posterior
 
 
-def posterior_to_csv(matrix: np.ndarray, path) -> None:
-    """Dense CSV export of the posterior matrix (rows = run length, columns = time)."""
-    np.savetxt(path, matrix, delimiter=",", fmt="%.9g")
+def _write_matrix_text(path, posterior: RunLengthPosterior, cells, fmt: str, sep: str,
+                       header: str = "") -> None:
+    """Write the posterior matrix as text, one run-length row per line.
+
+    Stored cells print as ``fmt % cell`` (``cells`` is aligned with the
+    stored entries), every other cell as 0, separated by ``sep``. Each
+    stretch of adjacent stored cells in a row is formatted in one go.
+    """
+    n = posterior.size
+    order = np.argsort(posterior.run_lengths, kind="stable")  # by row, then column
+    rows = posterior.run_lengths[order]
+    cols = posterior.steps()[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1] + 1)
+    starts = np.flatnonzero(new)
+    row_stretches = np.searchsorted(rows[starts], np.arange(n + 1)).tolist()
+    first_cols = cols[starts].tolist()
+    bounds = np.append(starts, len(rows)).tolist()
+    cells = np.asarray(cells)[order].tolist()
+    zero, item = "0" + sep, fmt + sep
+    with open(path, "w") as fh:
+        fh.write(header)
+        for r in range(n):
+            pieces, filled = [], 0
+            for s in range(row_stretches[r], row_stretches[r + 1]):
+                a, b = bounds[s], bounds[s + 1]
+                pieces.append(zero * (first_cols[s] - filled))
+                pieces.append(item * (b - a) % tuple(cells[a:b]))
+                filled = first_cols[s] + b - a
+            pieces.append(zero * (n - filled))
+            fh.write("".join(pieces)[:-len(sep)] + "\n")
 
 
-def posterior_to_pgm(matrix: np.ndarray, path) -> None:
+def posterior_to_csv(posterior: RunLengthPosterior, path) -> None:
+    """Dense CSV export of the posterior matrix (rows = run length, columns =
+    time), each cell as ``%.9g``."""
+    _write_matrix_text(path, posterior, posterior.weights, "%.9g", ",")
+
+
+def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
     """Grayscale map of the posterior as a plain (P2) portable graymap.
 
     Each row (run length) is normalised by its own maximum so long runs
     remain visible next to the dominant short ones; white is high
     probability.
     """
-    m = np.asarray(matrix, dtype=float)
-    row_max = m.max(axis=1, keepdims=True)
-    scale = np.divide(m, row_max, out=np.zeros_like(m), where=row_max > 0.0)
-    gray = np.rint(255.0 * scale).astype(int)
-    lines = ["P2", f"{m.shape[1]} {m.shape[0]}", "255"]
-    lines += [" ".join(str(v) for v in row) for row in gray]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    row_max = np.zeros(posterior.size)
+    np.maximum.at(row_max, posterior.run_lengths, posterior.weights)
+    gray = np.rint(255.0 * (posterior.weights / row_max[posterior.run_lengths])).astype(int)
+    n = posterior.size
+    _write_matrix_text(path, posterior, gray, "%d", " ", f"P2\n{n} {n}\n255\n")

@@ -160,6 +160,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.sessions < 1:
+        raise CliError("--sessions must be at least 1")
+    if args.workers < 1:
+        raise CliError("--workers must be at least 1")
     out = _output_dir(args.out)
     os.makedirs(out, exist_ok=True)
     session_config = _session_config(args, args.base_seed)

@@ -114,8 +114,9 @@ def analyse_series(values, config: PipelineConfig):
     """Inference and segmentation on an embedding array.
 
     Returns (posterior, raw trace, postprocessed trace, retained events,
-    segments). The detection trace is the postprocessed one when
-    postprocessing is enabled, otherwise the raw trace. Trace step k
+    segments); the posterior is a ``bocpd.RunLengthPosterior``. The
+    detection trace is the postprocessed one when postprocessing is
+    enabled, otherwise the raw trace. Trace step k
     reflects the first k observations, so detected events are shifted to
     the index of the observation that triggered them (step k observes
     sample k - 1); all emitted indices are 0-based sample indices
@@ -123,8 +124,8 @@ def analyse_series(values, config: PipelineConfig):
     """
     prior = _make_prior(config.prior_kind, config.sigma_epsilon)
     hazard = bocpd.HazardConfig(config.hazard_p)
-    posterior = bocpd.run_inference(values, prior, hazard, config.prune_threshold)
-    raw_trace = segmentation.lms_estimate(posterior)
+    posterior = bocpd.infer_posterior(values, prior, hazard, config.prune_threshold)
+    raw_trace = segmentation.lms_trace(posterior)
     post_trace = segmentation.postprocess_runlength(raw_trace)
     detection_trace = post_trace if config.postprocess else raw_trace
     events = segmentation.detect_resets(detection_trace, config.log_threshold)

@@ -34,6 +34,31 @@ def lms_estimate(posterior: np.ndarray) -> np.ndarray:
     return np.arange(m.shape[0]) @ m
 
 
+#: Columns per dense slab in ``lms_trace``. A multiple of the BLAS
+#: kernel's column unroll, so each column is reduced in the same order as
+#: in the product over the whole matrix and the estimate keeps its bits.
+#: That holds for single-threaded BLAS; threaded BLAS splits a product's
+#: columns by thread count, which moves the last bits of a few columns of
+#: the whole product itself.
+LMS_SLAB = 256
+
+
+def lms_trace(posterior) -> np.ndarray:
+    """``lms_estimate`` of a column-stored posterior (``bocpd.RunLengthPosterior``),
+    taken over dense slabs of ``LMS_SLAB`` columns so memory stays O(T).
+
+    A single leftover column joins the slab before it: numpy reduces a
+    one-column matrix as a dot product, in another order than the kernel.
+    """
+    bounds = list(range(0, posterior.size, LMS_SLAB)) + [posterior.size]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return np.concatenate([
+        lms_estimate(posterior.toarray(start, stop))
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ])
+
+
 def postprocess_runlength(trace) -> np.ndarray:
     """Three-sample filter merging strict double descents.
 

@@ -45,7 +45,7 @@ def session_batch():
             elapsed = time.perf_counter() - started
             if variant == "adr_post":
                 best_variant_seconds += elapsed
-                _check_posterior_structure(posterior)
+                _check_posterior_structure(posterior.toarray())
                 posteriors_checked += 1
             rows[variant].append(report)
     assert posteriors_checked == 20

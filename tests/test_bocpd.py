@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_t
 
-from kinseg import bocpd
+from kinseg import bocpd, simulate
 from kinseg.bocpd import (
     HazardConfig,
     HypothesisSet,
     NormalWishartParams,
     brute_force_posterior,
+    infer_posterior,
     informative_prior,
     log_predictive,
     noninformative_prior,
@@ -16,7 +17,14 @@ from kinseg.bocpd import (
     run_inference,
     step,
 )
-from util_data import hypothesis_params, monte_carlo_predictive_density
+from util_data import (
+    dense_posterior_csv,
+    dense_posterior_pgm,
+    dense_run_inference,
+    hypothesis_params,
+    monte_carlo_predictive_density,
+    two_segment_series,
+)
 
 
 def random_series(seed, n=10, d=3):
@@ -348,15 +356,15 @@ class TestBruteForceOracle:
 
 class TestExports:
     def test_posterior_csv(self, tmp_path):
-        P = run_inference(random_series(20, n=4), informative_prior(), HazardConfig(0.01))
+        P = infer_posterior(random_series(20, n=4), informative_prior(), HazardConfig(0.01))
         path = tmp_path / "posterior.csv"
         bocpd.posterior_to_csv(P, path)
         back = np.loadtxt(path, delimiter=",")
-        assert back.shape == P.shape
-        assert np.allclose(back, P, atol=1e-8)
+        assert back.shape == (5, 5)
+        assert np.allclose(back, P.toarray(), atol=1e-8)
 
     def test_posterior_pgm(self, tmp_path):
-        P = run_inference(random_series(20, n=4), informative_prior(), HazardConfig(0.01))
+        P = infer_posterior(random_series(20, n=4), informative_prior(), HazardConfig(0.01))
         path = tmp_path / "posterior.pgm"
         bocpd.posterior_to_pgm(P, path)
         lines = path.read_text().splitlines()
@@ -369,8 +377,69 @@ class TestExports:
         assert min(pixels) >= 0
 
     def test_deterministic_bytes(self, tmp_path):
-        P = run_inference(random_series(21, n=5), informative_prior(), HazardConfig(0.01))
+        P = infer_posterior(random_series(21, n=5), informative_prior(), HazardConfig(0.01))
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
         bocpd.posterior_to_pgm(P, a)
         bocpd.posterior_to_pgm(P, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _two_posture_series():
+    rng = np.random.default_rng(8)
+    return two_segment_series(rng, 40, 60, [0.2, 0.1, 0.3], [2.5, -2.0, 2.2], 0.02)
+
+
+class TestColumnStore:
+    """The column-stored posterior and its writers reproduce the dense
+    matrix and the bytes of the dense reference writers."""
+
+    @pytest.mark.parametrize("prune", [None, 1e-12], ids=["exact", "pruned"])
+    def test_toarray_matches_dense_recursion(self, prune):
+        vals = _two_posture_series()
+        P = infer_posterior(vals, informative_prior(), HazardConfig(0.01), prune)
+        dense = dense_run_inference(vals, informative_prior(), HazardConfig(0.01), prune)
+        assert P.size == len(vals) + 1
+        assert np.array_equal(P.toarray(), dense)
+        assert np.array_equal(run_inference(vals, informative_prior(), HazardConfig(0.01), prune),
+                              dense)
+        assert np.array_equal(np.hstack([P.toarray(0, 50), P.toarray(50)]), dense)
+        assert np.all(P.weights > 0.0)
+        assert np.array_equal(np.diff(P.indptr), np.count_nonzero(dense, axis=0))
+
+    @staticmethod
+    def _assert_same_bytes(P, tmp_path):
+        dense = P.toarray()
+        for write, reference, name in ((bocpd.posterior_to_csv, dense_posterior_csv, "csv"),
+                                       (bocpd.posterior_to_pgm, dense_posterior_pgm, "pgm")):
+            ours, theirs = tmp_path / f"ours.{name}", tmp_path / f"reference.{name}"
+            write(P, ours)
+            reference(dense, theirs)
+            assert ours.read_bytes() == theirs.read_bytes(), name
+
+    def test_exact_path_bytes(self, tmp_path):
+        vals = simulate.generate_session(simulate.SessionConfig(seed=7)).series.values[:600]
+        P = infer_posterior(vals, informative_prior(), HazardConfig(0.01))
+        # long hypotheses spanning many postures underflow to 0 and are not stored
+        assert len(P.weights) < P.size * (P.size + 1) // 2
+        self._assert_same_bytes(P, tmp_path)
+
+    def test_pruned_path_bytes(self, tmp_path):
+        P = infer_posterior(_two_posture_series(), informative_prior(), HazardConfig(0.01),
+                            prune_threshold=1e-12)
+        # rows past the longest live run length are entirely zero
+        assert P.run_lengths.max() < P.size - 10
+        # some stored weights round to gray 0 against their row maximum
+        row_max = P.toarray().max(axis=1)
+        assert np.any(np.rint(255.0 * P.weights / row_max[P.run_lengths]) == 0)
+        self._assert_same_bytes(P, tmp_path)
+
+    def test_random_series_bytes(self, tmp_path):
+        P = infer_posterior(random_series(22, n=30), noninformative_prior(), HazardConfig(0.1))
+        self._assert_same_bytes(P, tmp_path)
+
+    def test_empty_series_bytes(self, tmp_path):
+        P = infer_posterior(np.empty((0, 3)), informative_prior(), HazardConfig(0.01))
+        assert P.size == 1
+        self._assert_same_bytes(P, tmp_path)
+        assert (tmp_path / "ours.csv").read_text() == "1\n"
+        assert (tmp_path / "ours.pgm").read_text() == "P2\n1 1\n255\n255\n"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -189,6 +192,39 @@ class TestRunCommand:
         assert not (tmp_path / "ignored").exists()
 
 
+class TestFullNight:
+    STEPS = 8640  # a night of 1 Hz decimated samples
+
+    def test_bounded_memory(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--seed", "1", "--postures", "30", "--replications", "8",
+                       "--out", str(sim)) == 0
+        lines = (sim / "session.csv").read_text().splitlines(keepends=True)
+        assert len(lines) > self.STEPS + 1
+        session, labels = tmp_path / "night.csv", tmp_path / "labels.csv"
+        session.write_text("".join(lines[:self.STEPS + 1]))
+        label_lines = (sim / "labels.csv").read_text().splitlines(keepends=True)
+        labels.write_text("".join(label_lines[:1] + [
+            line for line in label_lines[1:] if int(line.split(",")[1]) < self.STEPS]))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        env.pop(pipeline.OUTPUT_DIR_ENV, None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kinseg.cli", "run", "--input", str(session),
+             "--labels", str(labels), "--embedding", "adr", "--decimation", "1",
+             "--prune", "1e-12", "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        peak_mb = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+        # the dense (T+1)^2 posterior took about 1.8 GB here
+        assert peak_mb < 400, f"peak RSS {peak_mb:.0f} MB"
+        report = json.loads((out / "report.json").read_text())
+        assert report["series"]["length"] == self.STEPS
+        assert report["metrics"]["f1"] >= 0.95
+
+
 class TestEvalCommand:
     def test_eval_matches_run_metrics(self, session_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -238,6 +274,15 @@ class TestSweep:
         serial = pipeline.run_variant_sweep(config, [1, 2, 3], base, workers=1)
         parallel = pipeline.run_variant_sweep(config, [1, 2, 3], base, workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("flag,value", [("--sessions", "0"), ("--sessions", "-2"),
+                                            ("--workers", "0"), ("--workers", "-3")])
+    def test_nonpositive_count_exit_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        rc = run_cli("sweep", "--out", str(out), "--sessions", "1", flag, value)
+        assert rc == 1
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_variant_rejected(self, tmp_path):
         config = simulate.SessionConfig(seed=0)

@@ -1,14 +1,20 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from kinseg import segmentation
+from kinseg import bocpd, segmentation
 from kinseg.segmentation import (
+    LMS_SLAB,
     ChangepointEvent,
     Segment,
     build_segments,
     detect_resets,
     filter_repetitive_resets,
     lms_estimate,
+    lms_trace,
     postprocess_runlength,
 )
 
@@ -45,6 +51,57 @@ class TestLmsEstimate:
         trace = lms_estimate(P)
         assert np.all(trace >= 0.0)
         assert np.all(trace <= np.arange(21))
+
+
+_SLAB_CHECK = """
+import sys
+import numpy as np
+from kinseg import bocpd, segmentation
+size, prune = int(sys.argv[1]), None if sys.argv[2] == "none" else float(sys.argv[2])
+rng = np.random.default_rng(size)
+means = rng.uniform(-1.0, 1.0, size=(size // 40 + 1, 3))
+values = means[np.arange(size - 1) // 40] + 0.05 * rng.standard_normal((size - 1, 3))
+prior, hazard = bocpd.informative_prior(), bocpd.HazardConfig(0.01)
+posterior = bocpd.infer_posterior(values, prior, hazard, prune)
+dense = bocpd.run_inference(values, prior, hazard, prune)
+slabs, whole = segmentation.lms_trace(posterior), segmentation.lms_estimate(dense)
+print(np.flatnonzero(slabs != whole).tolist())
+"""
+
+
+class TestLmsTrace:
+    """The slab-wise estimate of a column-stored posterior keeps the bits of
+    the product over the whole dense matrix, so runlength.csv and
+    report.json do not change. Widths below, at and past one slab.
+
+    Checked with single-threaded BLAS: a threaded matrix-vector product
+    splits its columns by thread count, so the last bits of the whole
+    product itself depend on how many threads BLAS runs."""
+
+    @pytest.mark.parametrize("size", [200, 256, 257, 2001])
+    @pytest.mark.parametrize("prune", ["none", "1e-12"], ids=["exact", "pruned"])
+    def test_matches_dense_product(self, size, prune):
+        src = os.path.dirname(os.path.dirname(segmentation.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
+                   OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", _SLAB_CHECK, str(size), prune],
+                              env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]", f"columns differing: {done.stdout}"
+
+    def test_one_column_slab_avoided(self):
+        # numpy reduces a one-column matrix as a dot product, so a lone
+        # leftover column joins the previous slab
+        posterior = bocpd.infer_posterior(np.zeros((LMS_SLAB, 3)), bocpd.informative_prior(),
+                                          bocpd.HazardConfig(0.01), 1e-12)
+        seen = []
+        original = segmentation.lms_estimate
+        try:
+            segmentation.lms_estimate = lambda m: seen.append(m.shape) or original(m)
+            trace = lms_trace(posterior)
+        finally:
+            segmentation.lms_estimate = original
+        assert seen == [(LMS_SLAB + 1, LMS_SLAB + 1)]
+        assert trace.shape == (LMS_SLAB + 1,)
 
 
 class TestPostprocess:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from kinseg.bocpd import NormalWishartParams
+from kinseg.bocpd import HypothesisSet, NormalWishartParams, step
 
 
 def random_surface_points(rng, n):
@@ -88,3 +88,37 @@ def min_pairwise_angle(axes):
     cos = pts @ pts.T
     np.fill_diagonal(cos, -1.0)
     return float(np.arccos(np.clip(cos.max(), -1.0, 1.0)))
+
+
+def dense_run_inference(values, prior, hazard, prune_threshold=None):
+    """Reference recursion: fill every column of a dense (T+1)^2 matrix
+    with the weights of the hypotheses live after each step."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    T = values.shape[0]
+    posterior = np.zeros((T + 1, T + 1))
+    posterior[0, 0] = 1.0
+    hyps = HypothesisSet.initial(prior)
+    for k in range(1, T + 1):
+        hyps = step(hyps, values[k - 1], hazard)
+        posterior[hyps.run_lengths, k] = np.exp(hyps.log_weights)
+        if prune_threshold is not None:
+            hyps = hyps.pruned(prune_threshold)
+    return posterior
+
+
+def dense_posterior_csv(P, path):
+    """Reference posterior.csv writer: every cell of the dense matrix."""
+    np.savetxt(path, P, delimiter=",", fmt="%.9g")
+
+
+def dense_posterior_pgm(P, path):
+    """Reference posterior.pgm writer: every cell of the dense matrix, each
+    row scaled by its own maximum."""
+    m = np.asarray(P, dtype=float)
+    row_max = m.max(axis=1, keepdims=True)
+    scale = np.divide(m, row_max, out=np.zeros_like(m), where=row_max > 0.0)
+    gray = np.rint(255.0 * scale).astype(int)
+    lines = ["P2", f"{m.shape[1]} {m.shape[0]}", "255"]
+    lines += [" ".join(str(v) for v in row) for row in gray]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
