@@ -23,13 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 
 def _logsumexp_1d(x: np.ndarray) -> float:
     """Lean log-sum-exp for a 1D array (hot path; scipy's wrapper is slow)."""
     m = x.max()
-    if not np.isfinite(m):
+    if not math.isfinite(m):
         return float(m) if m == -np.inf else float("nan")
     return float(m + math.log(np.exp(x - m).sum()))
 
@@ -140,59 +139,77 @@ def nw_posterior_params(prior: NormalWishartParams, window) -> NormalWishartPara
     return NormalWishartParams(mu_n, kappa_n, prior.nu + n, sigma_n)
 
 
-def _quadratic_form_3x3(scale: np.ndarray, diff: np.ndarray):
-    """(log determinant, Mahalanobis form) for stacked symmetric 3x3 scales.
+# A symmetric 3x3 matrix s is packed as its upper triangle (a, b, c, d, e, f)
+# in np.triu_indices order. Its adjugate is adj = p[:6] - p[6:] with
+# p = s[_ADJ_LEFT] * s[_ADJ_RIGHT], in the order C00 C01 C11 C02 C22 C12, so
+# the diagonal and off-diagonal terms of the quadratic form pair up as
+# slices; entry k of the form is adj[k] * x[_ADJ_ROW[k]] * x[_ADJ_COL[k]].
+_ADJ_LEFT = np.array([3, 2, 0, 1, 0, 1, 4, 1, 2, 2, 1, 0])
+_ADJ_RIGHT = np.array([5, 4, 5, 4, 3, 2, 4, 5, 2, 3, 1, 4])
+_ADJ_ROW = np.array([0, 0, 1, 0, 2, 1])
+_ADJ_COL = np.array([0, 1, 1, 2, 2, 2])
 
-    Closed-form determinant and adjugate: a few elementwise operations per
-    matrix instead of a LAPACK call each, which is what keeps the per-step
-    cost flat across thousands of hypotheses. Positive definiteness is
-    checked through the leading principal minors.
+
+def _quadratic_form_3x3(scale: np.ndarray, diff: np.ndarray):
+    """(log determinant, Mahalanobis form) for packed symmetric 3x3 scales.
+
+    Column h of ``scale`` is one matrix as its upper triangle (a, b, c, d,
+    e, f), column h of ``diff`` one vector. Closed-form determinant and
+    adjugate: a few elementwise operations per matrix instead of a LAPACK
+    call each, which is what keeps the per-step cost flat across thousands
+    of hypotheses. Each cofactor is computed once, for the determinant and
+    the form alike. Positive definiteness is checked through the leading
+    principal minors.
     """
-    a = scale[..., 0, 0]
-    b = scale[..., 0, 1]
-    c = scale[..., 0, 2]
-    d = scale[..., 1, 1]
-    e = scale[..., 1, 2]
-    f = scale[..., 2, 2]
-    minor2 = a * d - b * b
-    det = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
-    if np.any(a <= 0.0) or np.any(minor2 <= 0.0) or np.any(det <= 0.0):
+    products = scale[_ADJ_LEFT] * scale[_ADJ_RIGHT]
+    adj = products[:6] - products[6:]
+    expansion = scale[:2] * adj[:2]  # a C00, b C01; then c C02
+    det = expansion[0] + expansion[1] + scale[2] * adj[3]
+    # fmin skips NaN, so NaN scales pass the check as they always did
+    if np.fmin.reduce(np.fmin(np.fmin(scale[0], adj[4]), det)) <= 0.0:
         raise np.linalg.LinAlgError("predictive scale matrix is not positive definite")
-    x0, x1, x2 = diff[..., 0], diff[..., 1], diff[..., 2]
-    with np.errstate(invalid="ignore"):  # non-finite observations yield nan,
-        quad = (                         # caught by the evidence check downstream
-            (d * f - e * e) * x0 * x0
-            + (a * f - c * c) * x1 * x1
-            + minor2 * x2 * x2
-            + 2.0 * ((c * e - b * f) * x0 * x1 + (b * e - c * d) * x0 * x2 + (b * c - a * e) * x1 * x2)
-        )
+    # non-finite observations yield nan, caught by the evidence check downstream
+    with np.errstate(invalid="ignore"):
+        terms = adj * diff[_ADJ_ROW] * diff[_ADJ_COL]
+        sums = terms[0:2] + terms[2:4] + terms[4:6]  # diagonal, off-diagonal
+        quad = sums[0] + 2.0 * sums[1]
     return np.log(det), quad / det
 
 
-def _mvt_logpdf_batch(x: np.ndarray, mu: np.ndarray, scale: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """Multivariate Student-t log density, batched over leading axis.
+def _log_student_t(scale: np.ndarray, diff: np.ndarray, df, half, const) -> np.ndarray:
+    """Multivariate Student-t log density, one column per density.
 
-    Never forms an explicit inverse: the 3D case runs through closed-form
-    determinants and adjugates, other dimensions through slogdet plus a
-    batched solve; near-singular scale matrices fail loudly either way.
+    ``scale`` holds each symmetric scale matrix as its upper triangle in
+    ``np.triu_indices`` order, ``diff`` the observation minus the location,
+    and ``half, const`` come from ``_student_t_terms(df, d)``. Never forms
+    an explicit inverse: the 3D case runs through closed-form determinants
+    and adjugates, other dimensions through slogdet plus a batched solve;
+    near-singular scale matrices fail loudly either way.
     """
-    d = x.shape[-1]
-    diff = x - mu
+    d = diff.shape[0]
     if d == 3:
         logdet, maha = _quadratic_form_3x3(scale, diff)
     else:
-        sign, logdet = np.linalg.slogdet(scale)
+        i, j = np.triu_indices(d)
+        full = np.empty((scale.shape[1], d, d))
+        full[:, i, j] = scale.T
+        full[:, j, i] = scale.T
+        sign, logdet = np.linalg.slogdet(full)
         if np.any(sign <= 0):
             raise np.linalg.LinAlgError("predictive scale matrix is not positive definite")
-        sol = np.linalg.solve(scale, diff[..., None])[..., 0]
-        maha = np.einsum("...i,...i->...", diff, sol)
-    return (
-        gammaln(0.5 * (df + d))
-        - gammaln(0.5 * df)
-        - 0.5 * d * np.log(df * np.pi)
-        - 0.5 * logdet
-        - 0.5 * (df + d) * np.log1p(maha / df)
-    )
+        x = diff.T.copy()
+        sol = np.linalg.solve(full, x[..., None])[..., 0]
+        maha = np.einsum("...i,...i->...", x, sol)
+    return const - 0.5 * logdet - half * np.log1p(maha / df)
+
+
+def _student_t_terms(df, d: int):
+    """(0.5 (df + d), log normalising constant) of a d-dimensional Student-t
+    with ``df`` degrees of freedom, elementwise."""
+    from scipy.special import gammaln  # scipy loads only when inference runs
+
+    half = 0.5 * (df + d)
+    return half, gammaln(half) - gammaln(0.5 * df) - 0.5 * d * np.log(df * np.pi)
 
 
 def predictive_scale(params: NormalWishartParams):
@@ -212,88 +229,170 @@ def log_predictive(o, params: NormalWishartParams) -> float:
     if o.shape[0] != params.dim:
         raise ValueError("observation dimension does not match the parameters")
     scale, df = predictive_scale(params)
-    return float(
-        _mvt_logpdf_batch(o[None, :], params.mu[None, :], scale[None, :, :], np.array([df]))[0]
-    )
+    df = np.array([df])
+    half, const = _student_t_terms(df, params.dim)
+    upper = np.triu_indices(params.dim)
+    return float(_log_student_t(scale[upper][:, None], (o - params.mu)[:, None],
+                                df, half, const)[0])
+
+
+def _count_table(prior: NormalWishartParams, size: int) -> np.ndarray:
+    """The predictive's count-only terms for counts n = 0..size-1.
+
+    One row per quantity, in the order HypothesisSet reads them: n,
+    kappa_n, df, the scale factor (kappa_n + 1) / (kappa_n df), the
+    prior-mean shrinkage kappa n / kappa_n, n / (n + 1), n + 1, and the
+    Student-t terms 0.5 (df + d) and log normalising constant.
+    """
+    d = prior.dim
+    n = np.arange(size, dtype=float)
+    kappa_n = prior.kappa + n
+    df = prior.nu + n - d + 1.0
+    np1 = n + 1.0
+    half, const = _student_t_terms(df, d)
+    return np.stack([n, kappa_n, df, (kappa_n + 1.0) / (kappa_n * df),
+                     prior.kappa * n / kappa_n, n / np1, np1, half, const])
 
 
 class HypothesisSet:
     """Run-length hypotheses with per-hypothesis sufficient statistics.
 
     The hypothesis with run length z carries exactly the last z
-    observations as running (count, mean, centred scatter) statistics: a
-    hypothesis born at the current step is empty, and a grown hypothesis
-    has absorbed the current observation. Centred accumulation keeps the
-    scatter accurate even when the prior scale is tiny (the nearly flat
-    prior), where a sum-of-outer-products representation would leak
-    cancellation error into near-singular predictive matrices.
-    ``log_weights`` is the normalised log run-length posterior of the
-    current step.
+    observations as running (mean, centred scatter) statistics, so its
+    count is its run length: a hypothesis born at the current step is
+    empty, and a grown hypothesis has absorbed the current observation.
+    Centred accumulation keeps the scatter accurate even when the prior
+    scale is tiny (the nearly flat prior), where a sum-of-outer-products
+    representation would leak cancellation error into near-singular
+    predictive matrices.
+
+    Hypotheses are columns, newest (shortest run) first: ``run_lengths``
+    (h,), ``means`` (d, h), ``scatters`` (d(d+1)/2, h), each scatter
+    matrix as its upper triangle in ``np.triu_indices`` order, and
+    ``log_weights`` (h,), the normalised log run-length posterior of the
+    current step. They are views of the tail of preallocated buffers: a
+    step updates them in place and prepends the newborn hypothesis, a full
+    buffer doubles its capacity, and pruning moves the kept hypotheses to
+    the tail. Everything of a predictive but its data term depends only on
+    the count and is read from a table (``_count_table``) that doubles
+    when a longer run appears.
     """
 
-    def __init__(self, prior, run_lengths, counts, means, scatters, log_weights):
+    _INITIAL_CAPACITY = 16
+
+    def __init__(self, prior: NormalWishartParams):
+        d = prior.dim
         self.prior = prior
-        self.run_lengths = run_lengths
-        self.counts = counts
-        self.means = means
-        self.scatters = scatters
-        self.log_weights = log_weights
+        self._upper = np.triu_indices(d)
+        self._prior_mu = prior.mu[:, None]
+        self._prior_kappa_mu = (prior.kappa * prior.mu)[:, None]
+        self._prior_sigma = prior.sigma[self._upper][:, None]
+        cap = self._INITIAL_CAPACITY
+        self._table = _count_table(prior, cap)
+        self._state = (np.zeros(cap, dtype=int), np.zeros((d, cap)),
+                       np.zeros((len(self._upper[0]), cap)), np.zeros(cap))
+        self._start = cap - 1
 
     @classmethod
     def initial(cls, prior: NormalWishartParams) -> "HypothesisSet":
         """The time-zero state: run length zero with certainty, no data."""
-        d = prior.dim
-        return cls(
-            prior,
-            run_lengths=np.array([0], dtype=int),
-            counts=np.array([0.0]),
-            means=np.zeros((1, d)),
-            scatters=np.zeros((1, d, d)),
-            log_weights=np.array([0.0]),
-        )
+        return cls(prior)
 
     def __len__(self) -> int:
-        return len(self.run_lengths)
+        return len(self._state[0]) - self._start
 
-    def _posterior_param_arrays(self):
-        prior = self.prior
-        n = self.counts
-        kappa_n = prior.kappa + n
-        nu_n = prior.nu + n
-        mu_n = (prior.kappa * prior.mu + n[:, None] * self.means) / kappa_n[:, None]
-        dm = prior.mu - self.means
-        coeff = prior.kappa * n / kappa_n
-        sigma_n = (
-            prior.sigma
-            + self.scatters
-            + coeff[:, None, None] * np.einsum("hi,hj->hij", dm, dm)
-        )
-        return mu_n, kappa_n, nu_n, sigma_n
+    @property
+    def run_lengths(self) -> np.ndarray:
+        return self._state[0][self._start:]
+
+    @property
+    def means(self) -> np.ndarray:
+        return self._state[1][:, self._start:]
+
+    @property
+    def scatters(self) -> np.ndarray:
+        return self._state[2][:, self._start:]
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        return self._state[3][self._start:]
+
+    def _count_terms(self) -> np.ndarray:
+        """The count table's columns for the live hypotheses; the table
+        doubles when the longest run outgrows it."""
+        run_lengths = self.run_lengths
+        lo, hi = int(run_lengths[0]), int(run_lengths[-1]) + 1
+        if hi > self._table.shape[1]:
+            self._table = _count_table(self.prior, 2 * hi)
+        if hi - lo == len(run_lengths):
+            return self._table[:, lo:hi]
+        return self._table[:, run_lengths]
+
+    def _log_predictives(self, o: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        n, kappa_n, df, coef, coeff, _, _, half, const = counts
+        means = self.means
+        diff = o - (self._prior_kappa_mu + n * means) / kappa_n
+        dm = self._prior_mu - means
+        i, j = self._upper
+        sigma_n = self._prior_sigma + self.scatters + coeff * (dm[i] * dm[j])
+        return _log_student_t(sigma_n * coef, diff, df, half, const)
 
     def log_predictives(self, o) -> np.ndarray:
         """Log predictive density of ``o`` under every hypothesis."""
-        o = np.asarray(o, dtype=float).ravel()
-        mu_n, kappa_n, nu_n, sigma_n = self._posterior_param_arrays()
-        d = self.prior.dim
-        df = nu_n - d + 1.0
-        coef = (kappa_n + 1.0) / (kappa_n * df)
-        return _mvt_logpdf_batch(o[None, :], mu_n, sigma_n * coef[:, None, None], df)
+        o = np.asarray(o, dtype=float).reshape(-1, 1)
+        return self._log_predictives(o, self._count_terms())
 
-    def pruned(self, threshold: float) -> "HypothesisSet":
-        """Drop hypotheses below ``threshold`` posterior mass and renormalise."""
-        keep = self.log_weights >= math.log(threshold)
-        if not np.any(keep):
-            keep[np.argmax(self.log_weights)] = True
-        log_w = self.log_weights[keep]
-        log_w = log_w - _logsumexp_1d(log_w)
-        return HypothesisSet(
-            self.prior,
-            self.run_lengths[keep],
-            self.counts[keep],
-            self.means[keep],
-            self.scatters[keep],
-            log_w,
-        )
+    def _grow(self, o: np.ndarray, counts: np.ndarray, log_weights: np.ndarray,
+              newborn_log_weight: float) -> None:
+        """Every hypothesis absorbs ``o`` (centred updates) and takes its new
+        log weight; then an empty newborn hypothesis goes in front."""
+        run_lengths, means, scatters, weights = self._state
+        s = self._start
+        delta = o - means[:, s:]
+        ratio, np1 = counts[5:7]  # n / (n + 1) and n + 1
+        means[:, s:] += delta / np1
+        i, j = self._upper
+        scatters[:, s:] += ratio * (delta[i] * delta[j])
+        run_lengths[s:] += 1
+        weights[s:] = log_weights
+        if s == 0:
+            self._regrow()
+            run_lengths, means, scatters, weights = self._state
+            s = self._start
+        s = self._start = s - 1
+        run_lengths[s] = 0
+        means[:, s] = 0.0
+        scatters[:, s] = 0.0
+        weights[s] = newborn_log_weight
+
+    def _regrow(self) -> None:
+        """Double the capacity; the live hypotheses move to the new tail."""
+        h, cap = len(self), 2 * len(self._state[0])
+        grown = []
+        for buf in self._state:
+            new = np.zeros(buf.shape[:-1] + (cap,), dtype=buf.dtype)
+            new[..., cap - h:] = buf[..., self._start:]
+            grown.append(new)
+        self._state = tuple(grown)
+        self._start = cap - h
+
+    def prune(self, threshold: float) -> None:
+        """Drop hypotheses below ``threshold`` posterior mass and renormalise.
+
+        The most probable hypothesis is kept even when it falls below.
+        """
+        log_w = self.log_weights
+        floor = math.log(threshold)
+        if log_w.min() < floor:
+            keep = log_w >= floor
+            if not keep.any():
+                keep[np.argmax(log_w)] = True
+            kept = np.flatnonzero(keep) + self._start
+            self._start = len(self._state[0]) - len(kept)
+            for buf in self._state:
+                buf[..., self._start:] = buf[..., kept]
+            log_w = self.log_weights
+        log_w -= _logsumexp_1d(log_w)
 
 
 def step(hypotheses: HypothesisSet, o, hazard: HazardConfig) -> HypothesisSet:
@@ -302,38 +401,22 @@ def step(hypotheses: HypothesisSet, o, hazard: HazardConfig) -> HypothesisSet:
     Every incoming hypothesis grows with factor (1 - p) times its
     predictive for ``o``; a single new zero-run hypothesis aggregates
     p times the predictive over all predecessors. All bookkeeping is in
-    log space with log-sum-exp normalisation.
+    log space with log-sum-exp normalisation. The set is updated in place
+    and returned; a step that raises leaves it unchanged.
     """
-    o = np.asarray(o, dtype=float).ravel()
-    log_pred = hypotheses.log_predictives(o)
-    scored = hypotheses.log_weights + log_pred
+    o = np.asarray(o, dtype=float).reshape(-1, 1)
+    counts = hypotheses._count_terms()
+    scored = hypotheses.log_weights + hypotheses._log_predictives(o, counts)
     # growth and reset masses both scale the same predictive mixture, so
     # the evidence equals log-sum-exp of the scored weights: one reduction
     # normalises the whole step (and the zero-run posterior is exactly p)
     evidence = _logsumexp_1d(scored)
-    if not np.isfinite(evidence):
+    if not math.isfinite(evidence):
         raise FloatingPointError("all run-length hypotheses underflowed")
-    log_joint = np.concatenate(
-        ([evidence + math.log(hazard.p)], scored + math.log1p(-hazard.p))
-    )
-    d = o.shape[0]
-    # grown hypotheses absorb the observation (centred updates); the
-    # newborn one starts empty
-    counts = hypotheses.counts + 1.0
-    delta = o - hypotheses.means
-    means = hypotheses.means + delta / counts[:, None]
-    scatters = hypotheses.scatters + (
-        (hypotheses.counts / counts)[:, None, None]
-        * np.einsum("hi,hj->hij", delta, delta)
-    )
-    return HypothesisSet(
-        hypotheses.prior,
-        run_lengths=np.concatenate(([0], hypotheses.run_lengths + 1)),
-        counts=np.concatenate(([0.0], counts)),
-        means=np.vstack([np.zeros((1, d)), means]),
-        scatters=np.vstack([np.zeros((1, d, d)), scatters]),
-        log_weights=log_joint - evidence,
-    )
+    scored += math.log1p(-hazard.p)
+    scored -= evidence
+    hypotheses._grow(o, counts, scored, evidence + math.log(hazard.p) - evidence)
+    return hypotheses
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,15 +463,19 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
     values = getattr(series, "values", series)
     values = np.atleast_2d(np.asarray(values, dtype=float))
     hyps = HypothesisSet.initial(prior)
-    run_lengths, weights = [hyps.run_lengths], [np.exp(hyps.log_weights)]
+    run_lengths, weights = [hyps.run_lengths.copy()], [np.exp(hyps.log_weights)]
     for o in values:
         hyps = step(hyps, o, hazard)
         w = np.exp(hyps.log_weights)
-        nonzero = w > 0.0
-        run_lengths.append(hyps.run_lengths[nonzero])
-        weights.append(w[nonzero])
+        if w.min() > 0.0:
+            run_lengths.append(hyps.run_lengths.copy())
+            weights.append(w)
+        else:
+            nonzero = w > 0.0
+            run_lengths.append(hyps.run_lengths[nonzero])
+            weights.append(w[nonzero])
         if prune_threshold is not None:
-            hyps = hyps.pruned(prune_threshold)
+            hyps.prune(prune_threshold)
     indptr = np.concatenate(([0], np.cumsum([len(w) for w in weights])))
     return RunLengthPosterior(len(weights), indptr, np.concatenate(run_lengths),
                               np.concatenate(weights))
@@ -450,8 +537,8 @@ def brute_force_posterior(series, prior: NormalWishartParams, hazard: HazardConf
         col = np.full(k + 1, -np.inf)
         for run, vals in enumerate(buckets):
             if vals:
-                col[run] = logsumexp(vals)
-        posterior[: k + 1, k] = np.exp(col - logsumexp(col))
+                col[run] = _logsumexp_1d(np.array(vals))
+        posterior[: k + 1, k] = np.exp(col - _logsumexp_1d(col))
     return posterior
 
 

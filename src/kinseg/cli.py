@@ -112,6 +112,8 @@ def _cmd_synthgen(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise CliError("--seed must be non-negative")
     out = _output_dir(args.out)
     os.makedirs(out, exist_ok=True)
     config = _session_config(args, args.seed)
@@ -164,6 +166,8 @@ def _cmd_sweep(args) -> int:
         raise CliError("--sessions must be at least 1")
     if args.workers < 1:
         raise CliError("--workers must be at least 1")
+    if args.base_seed < 0:
+        raise CliError("--base-seed must be non-negative")
     out = _output_dir(args.out)
     os.makedirs(out, exist_ok=True)
     session_config = _session_config(args, args.base_seed)
@@ -191,6 +195,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.tolerance <= 0:
+        raise CliError("--tolerance must be positive")
     segments = segmentation.read_segments_csv(args.predicted)
     ground_truth = metrics.read_labels_csv(args.labels)
     evaluation = metrics.evaluate_segmentation(segments, ground_truth, args.tolerance)

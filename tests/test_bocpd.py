@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_t
@@ -18,11 +20,14 @@ from kinseg.bocpd import (
     step,
 )
 from util_data import (
+    ReferenceHypothesisSet,
     dense_posterior_csv,
     dense_posterior_pgm,
     dense_run_inference,
     hypothesis_params,
     monte_carlo_predictive_density,
+    reference_columns,
+    reference_step,
     two_segment_series,
 )
 
@@ -103,7 +108,7 @@ class TestPosteriorParams:
             for k in range(1, len(vals) + 1):
                 hyps = step(hyps, vals[k - 1], hz)
                 for i in range(len(hyps)):
-                    count = int(hyps.counts[i])
+                    count = int(hyps.run_lengths[i])
                     window = vals[k - count:k]
                     batch = nw_posterior_params(prior, window)
                     cached = hypothesis_params(hyps, i)
@@ -270,8 +275,8 @@ class TestRunInference:
         probe = np.array([0.3, -0.2, 0.9])
         pred_short = short.log_predictives(probe)
         pred_long = long.log_predictives(probe)
-        for i, count in enumerate(short.counts.astype(int)):
-            j = np.flatnonzero(long.counts.astype(int) == count)[0]
+        for i, count in enumerate(short.run_lengths):
+            j = np.flatnonzero(long.run_lengths == count)[0]
             assert pred_long[j] == pytest.approx(pred_short[i], rel=1e-12)
 
     def test_monotone_hazard_effect(self):
@@ -443,3 +448,123 @@ class TestColumnStore:
         self._assert_same_bytes(P, tmp_path)
         assert (tmp_path / "ours.csv").read_text() == "1\n"
         assert (tmp_path / "ours.pgm").read_text() == "P2\n1 1\n255\n255\n"
+
+
+def _reference_store(values, prior, hazard, prune):
+    """The reference recursion's posterior as (indptr, run_lengths, weights)."""
+    columns = [(r[w > 0.0], w[w > 0.0])
+               for r, w in reference_columns(values, prior, hazard, prune)]
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r, _ in columns])))
+    return (indptr, np.concatenate([r for r, _ in columns]),
+            np.concatenate([w for _, w in columns]))
+
+
+def _assert_same_state(hyps, ref):
+    i, j = np.triu_indices(hyps.prior.dim)
+    assert np.array_equal(hyps.run_lengths, ref.run_lengths)
+    assert np.array_equal(hyps.means, ref.means.T)
+    assert np.array_equal(hyps.scatters, ref.scatters[:, i, j].T)
+    assert np.array_equal(hyps.log_weights, ref.log_weights)
+
+
+class TestKernelPin:
+    """The step kernel reproduces the reference kernel of tests/util_data.py
+    bit for bit: the posterior columns and the hypothesis state."""
+
+    @staticmethod
+    def _assert_pinned(values, prior, hz, prune):
+        P = infer_posterior(values, prior, hz, prune)
+        indptr, run_lengths, weights = _reference_store(values, prior, hz, prune)
+        assert np.array_equal(P.indptr, indptr)
+        assert np.array_equal(P.run_lengths, run_lengths)
+        assert np.array_equal(P.weights, weights)
+
+    @pytest.mark.parametrize("prune", [None, 1e-12], ids=["exact", "pruned"])
+    @pytest.mark.parametrize("prior", [informative_prior, noninformative_prior],
+                             ids=["informative", "noninformative"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_series(self, seed, prior, prune):
+        self._assert_pinned(random_series(40 + seed, n=120), prior(), HazardConfig(0.05), prune)
+
+    @pytest.mark.parametrize("prune", [None, 1e-12], ids=["exact", "pruned"])
+    @pytest.mark.parametrize("prior", [informative_prior, noninformative_prior],
+                             ids=["informative", "noninformative"])
+    def test_simulated_session(self, prior, prune):
+        # posture segments: weights underflow and pruning drops hypotheses
+        vals = simulate.generate_session(simulate.SessionConfig(seed=3)).series.values[:400]
+        self._assert_pinned(vals, prior(), HazardConfig(0.01), prune)
+
+    @pytest.mark.parametrize("prune", [None, 1e-12], ids=["exact", "pruned"])
+    def test_two_dimensional_prior(self, prune):
+        prior = NormalWishartParams(np.zeros(2), 0.5, 3.0, 2.0 * np.eye(2))
+        vals = np.random.default_rng(24).normal(size=(60, 2))
+        self._assert_pinned(vals, prior, HazardConfig(0.05), prune)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_shortest_series(self, n):
+        self._assert_pinned(random_series(25, n=n), informative_prior(), HazardConfig(0.07),
+                            None)
+
+    def test_state_through_prune_and_regrow(self):
+        # the live hypotheses outgrow the buffer after pruning has compacted it
+        vals = simulate.generate_session(simulate.SessionConfig(seed=3)).series.values[:100]
+        prior, hz = informative_prior(), HazardConfig(0.01)
+        hyps, ref = HypothesisSet.initial(prior), ReferenceHypothesisSet.initial(prior)
+        pruned = regrown_after_prune = False
+        for o in vals:
+            capacity = len(hyps._state[0])
+            hyps, ref = step(hyps, o, hz), reference_step(ref, o, hz)
+            regrown_after_prune |= pruned and len(hyps._state[0]) > capacity
+            _assert_same_state(hyps, ref)
+            live = len(hyps)
+            hyps.prune(1e-12)
+            ref = ref.pruned(1e-12)
+            pruned |= len(hyps) < live
+            _assert_same_state(hyps, ref)
+        assert regrown_after_prune
+
+    def test_prune_keeps_most_probable(self):
+        hyps = HypothesisSet.initial(informative_prior())
+        for o in random_series(26, n=5):
+            hyps = step(hyps, o, HazardConfig(0.2))
+        best = hyps.run_lengths[np.argmax(hyps.log_weights)]
+        hyps.prune(0.999)
+        assert np.array_equal(hyps.run_lengths, [best])
+        assert np.array_equal(hyps.log_weights, [0.0])
+
+    def test_table_grows_on_demand(self):
+        # runs outgrow the initial count table, which doubles on demand
+        prior, hz = noninformative_prior(), HazardConfig(0.01)
+        hyps, ref = HypothesisSet.initial(prior), ReferenceHypothesisSet.initial(prior)
+        for o in random_series(27, n=70):
+            hyps, ref = step(hyps, o, hz), reference_step(ref, o, hz)
+        _assert_same_state(hyps, ref)
+
+    @pytest.mark.parametrize("diagonal", [(-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0),
+                                          (0.0, 0.0, 0.0)],
+                             ids=["minor1", "minor2", "det", "zero"])
+    def test_indefinite_scale_raises(self, diagonal):
+        prior = NormalWishartParams(np.zeros(3), 1.0, 4.0, np.diag(diagonal))
+        with pytest.raises(np.linalg.LinAlgError):
+            reference_step(ReferenceHypothesisSet.initial(prior), np.ones(3), HazardConfig(0.01))
+        with pytest.raises(np.linalg.LinAlgError):
+            infer_posterior(np.ones((2, 3)), prior, HazardConfig(0.01))
+
+    def test_indefinite_scale_raises_other_dimensions(self):
+        prior = NormalWishartParams(np.zeros(2), 1.0, 3.0, np.diag([1.0, -1.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            infer_posterior(np.ones((2, 2)), prior, HazardConfig(0.01))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_observation_raises_and_keeps_state(self, bad):
+        hyps = HypothesisSet.initial(informative_prior())
+        for o in random_series(28, n=20):
+            hyps = step(hyps, o, HazardConfig(0.05))
+        before = [a.copy() for a in (hyps.run_lengths, hyps.means, hyps.scatters,
+                                     hyps.log_weights)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the quadratic form's nan is silent
+            with pytest.raises(FloatingPointError):
+                step(hyps, [0.3, bad, -0.1], HazardConfig(0.05))
+        after = (hyps.run_lengths, hyps.means, hyps.scatters, hyps.log_weights)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))

@@ -43,6 +43,12 @@ class TestSimulateCommand:
         assert (a / "session.csv").read_bytes() == (b / "session.csv").read_bytes()
         assert (a / "labels.csv").read_bytes() == (b / "labels.csv").read_bytes()
 
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--seed", "-1", "--out", str(out)) == 1
+        assert "--seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_seed7_regression(self, session_dir, tmp_path):
@@ -240,6 +246,17 @@ class TestEvalCommand:
         assert payload["f1"] == pytest.approx(report["metrics"]["f1"], rel=1e-12)
         assert payload["tp"] == report["metrics"]["tp"]
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_tolerance_exit_1(self, session_dir, tmp_path, capsys, value):
+        segments = tmp_path / "segments.csv"
+        segments.write_text("changepoint_idx,duration,start_idx\n10,10,0\n")
+        out = tmp_path / "eval.json"
+        rc = run_cli("eval", "--predicted", str(segments), "--labels",
+                     str(session_dir / "labels.csv"), "--tolerance", value, "--out", str(out))
+        assert rc == 1
+        assert "--tolerance must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_degenerate_sweep_matches_run_pipeline(self, tmp_path):
@@ -284,6 +301,13 @@ class TestSweep:
         assert f"{flag} must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_base_seed_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = run_cli("sweep", "--out", str(out), "--sessions", "1", "--base-seed", "-1")
+        assert rc == 1
+        assert "--base-seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_variant_rejected(self, tmp_path):
         config = simulate.SessionConfig(seed=0)
         base = PipelineConfig(input_path="<simulated>", output_dir=str(tmp_path), decimation=1)
@@ -312,3 +336,34 @@ class TestSynthgenCommand:
 
     def test_bad_resolution_exit_1(self, tmp_path):
         assert run_cli("synthgen", "--resolution", "1", "--out", str(tmp_path / "x.csv")) == 1
+
+
+class TestImportHygiene:
+    """scipy is loaded only when inference runs."""
+
+    SCRIPT = """
+import json, sys
+loaded = {}
+import kinseg.cli as cli
+loaded["import"] = "scipy" in sys.modules
+out = sys.argv[1]
+assert cli.main(["synthgen", "--resolution", "3", "--angles", "2",
+                 "--out", out + "/synth.csv"]) == 0
+loaded["synthgen"] = "scipy" in sys.modules
+assert cli.main(["simulate", "--seed", "2", "--postures", "3", "--replications", "1",
+                 "--out", out + "/sim"]) == 0
+loaded["simulate"] = "scipy" in sys.modules
+loaded["run_exit"] = cli.main(["run", "--input", out + "/sim/session.csv",
+                               "--out", out + "/run"])
+loaded["run"] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+    def test_scipy_loaded_only_by_inference(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        env.pop(pipeline.OUTPUT_DIR_ENV, None)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)], env=env,
+                              capture_output=True, text=True, check=True)
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == {"import": False, "synthgen": False, "simulate": False,
+                          "run_exit": 0, "run": True}

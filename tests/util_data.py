@@ -1,8 +1,11 @@
 """Shared test data helpers."""
 
-import numpy as np
+import math
 
-from kinseg.bocpd import HypothesisSet, NormalWishartParams, step
+import numpy as np
+from scipy.special import gammaln
+
+from kinseg.bocpd import NormalWishartParams
 
 
 def random_surface_points(rng, n):
@@ -74,9 +77,30 @@ def two_segment_series(rng, length_a, length_b, mean_a, mean_b, sigma):
     return np.vstack([a, b])
 
 
+def unpack_symmetric(packed):
+    """(h, d, d) symmetric matrices from their upper triangles, one per
+    column of ``packed`` in ``np.triu_indices`` order."""
+    m = packed.shape[0]
+    d = int(round((math.sqrt(8 * m + 1) - 1) / 2))
+    i, j = np.triu_indices(d)
+    full = np.empty((packed.shape[1], d, d))
+    full[:, i, j] = packed.T
+    full[:, j, i] = packed.T
+    return full
+
+
+def reference_state(hyps):
+    """A kinseg HypothesisSet as the reference kernel's state (counts are
+    run lengths, hypotheses along the first axis)."""
+    return ReferenceHypothesisSet(
+        hyps.prior, hyps.run_lengths.copy(), hyps.run_lengths.astype(float),
+        hyps.means.T.copy(), unpack_symmetric(hyps.scatters), hyps.log_weights.copy())
+
+
 def hypothesis_params(hyps, i):
-    """Posterior Normal-Wishart parameters of hypothesis i of a HypothesisSet."""
-    mu_n, kappa_n, nu_n, sigma_n = hyps._posterior_param_arrays()
+    """Posterior Normal-Wishart parameters of hypothesis i of a HypothesisSet,
+    evaluated by the reference kernel."""
+    mu_n, kappa_n, nu_n, sigma_n = reference_state(hyps)._posterior_param_arrays()
     return NormalWishartParams(mu_n[i], kappa_n[i], nu_n[i], sigma_n[i])
 
 
@@ -90,19 +114,164 @@ def min_pairwise_angle(axes):
     return float(np.arccos(np.clip(cos.max(), -1.0, 1.0)))
 
 
+# The reference kernel: the straightforward BOCPD step over an (h, d, d)
+# scatter tensor with explicit counts, rebuilding every array each step.
+# kinseg.bocpd must reproduce it bit for bit.
+
+def _logsumexp_1d(x):
+    m = x.max()
+    if not np.isfinite(m):
+        return float(m) if m == -np.inf else float("nan")
+    return float(m + math.log(np.exp(x - m).sum()))
+
+
+def _quadratic_form_3x3(scale, diff):
+    a = scale[..., 0, 0]
+    b = scale[..., 0, 1]
+    c = scale[..., 0, 2]
+    d = scale[..., 1, 1]
+    e = scale[..., 1, 2]
+    f = scale[..., 2, 2]
+    minor2 = a * d - b * b
+    det = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
+    if np.any(a <= 0.0) or np.any(minor2 <= 0.0) or np.any(det <= 0.0):
+        raise np.linalg.LinAlgError("predictive scale matrix is not positive definite")
+    x0, x1, x2 = diff[..., 0], diff[..., 1], diff[..., 2]
+    with np.errstate(invalid="ignore"):
+        quad = (
+            (d * f - e * e) * x0 * x0
+            + (a * f - c * c) * x1 * x1
+            + minor2 * x2 * x2
+            + 2.0 * ((c * e - b * f) * x0 * x1 + (b * e - c * d) * x0 * x2 + (b * c - a * e) * x1 * x2)
+        )
+    return np.log(det), quad / det
+
+
+def _mvt_logpdf_batch(x, mu, scale, df):
+    d = x.shape[-1]
+    diff = x - mu
+    if d == 3:
+        logdet, maha = _quadratic_form_3x3(scale, diff)
+    else:
+        sign, logdet = np.linalg.slogdet(scale)
+        if np.any(sign <= 0):
+            raise np.linalg.LinAlgError("predictive scale matrix is not positive definite")
+        sol = np.linalg.solve(scale, diff[..., None])[..., 0]
+        maha = np.einsum("...i,...i->...", diff, sol)
+    return (
+        gammaln(0.5 * (df + d))
+        - gammaln(0.5 * df)
+        - 0.5 * d * np.log(df * np.pi)
+        - 0.5 * logdet
+        - 0.5 * (df + d) * np.log1p(maha / df)
+    )
+
+
+class ReferenceHypothesisSet:
+    """Run-length hypotheses as (count, mean, centred scatter) arrays,
+    newest first; ``log_weights`` is the normalised log posterior."""
+
+    def __init__(self, prior, run_lengths, counts, means, scatters, log_weights):
+        self.prior = prior
+        self.run_lengths = run_lengths
+        self.counts = counts
+        self.means = means
+        self.scatters = scatters
+        self.log_weights = log_weights
+
+    @classmethod
+    def initial(cls, prior):
+        d = prior.dim
+        return cls(prior, np.array([0], dtype=int), np.array([0.0]), np.zeros((1, d)),
+                   np.zeros((1, d, d)), np.array([0.0]))
+
+    def __len__(self):
+        return len(self.run_lengths)
+
+    def _posterior_param_arrays(self):
+        prior = self.prior
+        n = self.counts
+        kappa_n = prior.kappa + n
+        nu_n = prior.nu + n
+        mu_n = (prior.kappa * prior.mu + n[:, None] * self.means) / kappa_n[:, None]
+        dm = prior.mu - self.means
+        coeff = prior.kappa * n / kappa_n
+        sigma_n = (
+            prior.sigma
+            + self.scatters
+            + coeff[:, None, None] * np.einsum("hi,hj->hij", dm, dm)
+        )
+        return mu_n, kappa_n, nu_n, sigma_n
+
+    def log_predictives(self, o):
+        o = np.asarray(o, dtype=float).ravel()
+        mu_n, kappa_n, nu_n, sigma_n = self._posterior_param_arrays()
+        d = self.prior.dim
+        df = nu_n - d + 1.0
+        coef = (kappa_n + 1.0) / (kappa_n * df)
+        return _mvt_logpdf_batch(o[None, :], mu_n, sigma_n * coef[:, None, None], df)
+
+    def pruned(self, threshold):
+        keep = self.log_weights >= math.log(threshold)
+        if not np.any(keep):
+            keep[np.argmax(self.log_weights)] = True
+        log_w = self.log_weights[keep]
+        log_w = log_w - _logsumexp_1d(log_w)
+        return ReferenceHypothesisSet(self.prior, self.run_lengths[keep], self.counts[keep],
+                                      self.means[keep], self.scatters[keep], log_w)
+
+
+def reference_step(hypotheses, o, hazard):
+    """One step of the reference kernel: a new ReferenceHypothesisSet."""
+    o = np.asarray(o, dtype=float).ravel()
+    log_pred = hypotheses.log_predictives(o)
+    scored = hypotheses.log_weights + log_pred
+    evidence = _logsumexp_1d(scored)
+    if not np.isfinite(evidence):
+        raise FloatingPointError("all run-length hypotheses underflowed")
+    log_joint = np.concatenate(
+        ([evidence + math.log(hazard.p)], scored + math.log1p(-hazard.p))
+    )
+    d = o.shape[0]
+    counts = hypotheses.counts + 1.0
+    delta = o - hypotheses.means
+    means = hypotheses.means + delta / counts[:, None]
+    scatters = hypotheses.scatters + (
+        (hypotheses.counts / counts)[:, None, None]
+        * np.einsum("hi,hj->hij", delta, delta)
+    )
+    return ReferenceHypothesisSet(
+        hypotheses.prior,
+        run_lengths=np.concatenate(([0], hypotheses.run_lengths + 1)),
+        counts=np.concatenate(([0.0], counts)),
+        means=np.vstack([np.zeros((1, d)), means]),
+        scatters=np.vstack([np.zeros((1, d, d)), scatters]),
+        log_weights=log_joint - evidence,
+    )
+
+
+def reference_columns(values, prior, hazard, prune_threshold=None):
+    """The reference recursion: the run lengths and weights of the
+    hypotheses live after each step (before pruning), starting with the
+    time-zero column."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    hyps = ReferenceHypothesisSet.initial(prior)
+    yield hyps.run_lengths, np.exp(hyps.log_weights)
+    for o in values:
+        hyps = reference_step(hyps, o, hazard)
+        yield hyps.run_lengths, np.exp(hyps.log_weights)
+        if prune_threshold is not None:
+            hyps = hyps.pruned(prune_threshold)
+
+
 def dense_run_inference(values, prior, hazard, prune_threshold=None):
     """Reference recursion: fill every column of a dense (T+1)^2 matrix
     with the weights of the hypotheses live after each step."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    T = values.shape[0]
+    T = len(np.atleast_2d(np.asarray(values, dtype=float)))
     posterior = np.zeros((T + 1, T + 1))
-    posterior[0, 0] = 1.0
-    hyps = HypothesisSet.initial(prior)
-    for k in range(1, T + 1):
-        hyps = step(hyps, values[k - 1], hazard)
-        posterior[hyps.run_lengths, k] = np.exp(hyps.log_weights)
-        if prune_threshold is not None:
-            hyps = hyps.pruned(prune_threshold)
+    for k, (run_lengths, weights) in enumerate(
+            reference_columns(values, prior, hazard, prune_threshold)):
+        posterior[run_lengths, k] = weights
     return posterior
 
 
