@@ -19,6 +19,7 @@ the recursion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,6 +151,13 @@ _ADJ_ROW = np.array([0, 0, 1, 0, 2, 1])
 _ADJ_COL = np.array([0, 1, 1, 2, 2, 2])
 
 
+# The cofactor expansion gets the determinant to about 1e-15 of a * d * f
+# (Hadamard's bound on it); a matrix whose determinant is a smaller share
+# of that bound than this is nearly singular, and the expansion could be
+# off by more than 1e-5 of it, so the matrix goes to a Cholesky factor.
+_DET_RTOL = 1e-10
+
+
 def _quadratic_form_3x3(scale: np.ndarray, diff: np.ndarray):
     """(log determinant, Mahalanobis form) for packed symmetric 3x3 scales.
 
@@ -158,22 +166,60 @@ def _quadratic_form_3x3(scale: np.ndarray, diff: np.ndarray):
     adjugate: a few elementwise operations per matrix instead of a LAPACK
     call each, which is what keeps the per-step cost flat across thousands
     of hypotheses. Each cofactor is computed once, for the determinant and
-    the form alike. Positive definiteness is checked through the leading
-    principal minors.
+    the form alike. A matrix that fails the leading principal minors, or
+    is nearly singular (as the noninformative prior makes short or
+    collinear windows), is factored by Cholesky instead: cancellation in the
+    expansion can cost such a matrix its determinant and form, and only the
+    factor tells it from one that is not positive definite, which fails
+    loudly.
     """
     products = scale[_ADJ_LEFT] * scale[_ADJ_RIGHT]
     adj = products[:6] - products[6:]
     expansion = scale[:2] * adj[:2]  # a C00, b C01; then c C02
     det = expansion[0] + expansion[1] + scale[2] * adj[3]
+    margin = det - _DET_RTOL * (scale[0] * scale[3] * scale[5])
     # fmin skips NaN, so NaN scales pass the check as they always did
-    if np.fmin.reduce(np.fmin(np.fmin(scale[0], adj[4]), det)) <= 0.0:
-        raise np.linalg.LinAlgError("predictive scale matrix is not positive definite")
+    suspect = None
+    if np.fmin.reduce(np.fmin(np.fmin(scale[0], adj[4]), np.fmin(det, margin))) <= 0.0:
+        suspect = (scale[0] <= 0.0) | (adj[4] <= 0.0) | (det <= 0.0) | (margin <= 0.0)
+        det[suspect] = 1.0  # placeholder, overwritten from the factor below
     # non-finite observations yield nan, caught by the evidence check downstream
     with np.errstate(invalid="ignore"):
         terms = adj * diff[_ADJ_ROW] * diff[_ADJ_COL]
         sums = terms[0:2] + terms[2:4] + terms[4:6]  # diagonal, off-diagonal
         quad = sums[0] + 2.0 * sums[1]
-    return np.log(det), quad / det
+    logdet, maha = np.log(det), quad / det
+    if suspect is not None:
+        logdet[suspect], maha[suspect] = _cholesky_form(scale[:, suspect], diff[:, suspect])
+    return logdet, maha
+
+
+@functools.cache
+def _upper_indices(d: int):
+    return np.triu_indices(d)
+
+
+def _unpack(scale: np.ndarray, d: int) -> np.ndarray:
+    """Stacked full d x d matrices from packed upper-triangle columns."""
+    i, j = _upper_indices(d)
+    full = np.empty((scale.shape[1], d, d))
+    full[:, i, j] = scale.T
+    full[:, j, i] = scale.T
+    return full
+
+
+def _cholesky_form(scale: np.ndarray, diff: np.ndarray):
+    """(log determinant, Mahalanobis form) through a Cholesky factor per
+    column; raises ``LinAlgError`` unless every matrix is positive definite."""
+    try:
+        factor = np.linalg.cholesky(_unpack(scale, diff.shape[0]))
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("predictive scale matrix is not positive definite") from None
+    logdet = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        white = np.linalg.solve(factor, diff.T[..., None])[..., 0]
+        maha = np.einsum("...i,...i->...", white, white)
+    return logdet, maha
 
 
 def _log_student_t(scale: np.ndarray, diff: np.ndarray, df, half, const) -> np.ndarray:
@@ -184,16 +230,13 @@ def _log_student_t(scale: np.ndarray, diff: np.ndarray, df, half, const) -> np.n
     and ``half, const`` come from ``_student_t_terms(df, d)``. Never forms
     an explicit inverse: the 3D case runs through closed-form determinants
     and adjugates, other dimensions through slogdet plus a batched solve;
-    near-singular scale matrices fail loudly either way.
+    scale matrices that are not positive definite fail loudly either way.
     """
     d = diff.shape[0]
     if d == 3:
         logdet, maha = _quadratic_form_3x3(scale, diff)
     else:
-        i, j = np.triu_indices(d)
-        full = np.empty((scale.shape[1], d, d))
-        full[:, i, j] = scale.T
-        full[:, j, i] = scale.T
+        full = _unpack(scale, d)
         sign, logdet = np.linalg.slogdet(full)
         if np.any(sign <= 0):
             raise np.linalg.LinAlgError("predictive scale matrix is not positive definite")
