@@ -151,13 +151,6 @@ _ADJ_ROW = np.array([0, 0, 1, 0, 2, 1])
 _ADJ_COL = np.array([0, 1, 1, 2, 2, 2])
 
 
-# The cofactor expansion gets the determinant to about 1e-15 of a * d * f
-# (Hadamard's bound on it); a matrix whose determinant is a smaller share
-# of that bound than this is nearly singular, and the expansion could be
-# off by more than 1e-5 of it, so the matrix goes to a Cholesky factor.
-_DET_RTOL = 1e-10
-
-
 def _quadratic_form_3x3(scale: np.ndarray, diff: np.ndarray):
     """(log determinant, Mahalanobis form) for packed symmetric 3x3 scales.
 
@@ -166,31 +159,29 @@ def _quadratic_form_3x3(scale: np.ndarray, diff: np.ndarray):
     adjugate: a few elementwise operations per matrix instead of a LAPACK
     call each, which is what keeps the per-step cost flat across thousands
     of hypotheses. Each cofactor is computed once, for the determinant and
-    the form alike. A matrix that fails the leading principal minors, or
-    is nearly singular (as the noninformative prior makes short or
-    collinear windows), is factored by Cholesky instead: cancellation in the
-    expansion can cost such a matrix its determinant and form, and only the
-    factor tells it from one that is not positive definite, which fails
-    loudly.
+    the form alike. A matrix that fails the leading principal minors is
+    factored by Cholesky instead: cancellation in the expansion can cost a
+    nearly singular matrix (as the noninformative prior makes of short or
+    collinear windows) its determinant, and only the factor tells it from
+    one that is not positive definite, which fails loudly.
     """
     products = scale[_ADJ_LEFT] * scale[_ADJ_RIGHT]
     adj = products[:6] - products[6:]
     expansion = scale[:2] * adj[:2]  # a C00, b C01; then c C02
     det = expansion[0] + expansion[1] + scale[2] * adj[3]
-    margin = det - _DET_RTOL * (scale[0] * scale[3] * scale[5])
     # fmin skips NaN, so NaN scales pass the check as they always did
-    suspect = None
-    if np.fmin.reduce(np.fmin(np.fmin(scale[0], adj[4]), np.fmin(det, margin))) <= 0.0:
-        suspect = (scale[0] <= 0.0) | (adj[4] <= 0.0) | (det <= 0.0) | (margin <= 0.0)
-        det[suspect] = 1.0  # placeholder, overwritten from the factor below
+    failed = None
+    if np.fmin.reduce(np.fmin(np.fmin(scale[0], adj[4]), det)) <= 0.0:
+        failed = (scale[0] <= 0.0) | (adj[4] <= 0.0) | (det <= 0.0)
+        det[failed] = 1.0  # placeholder, overwritten from the factor below
     # non-finite observations yield nan, caught by the evidence check downstream
     with np.errstate(invalid="ignore"):
         terms = adj * diff[_ADJ_ROW] * diff[_ADJ_COL]
         sums = terms[0:2] + terms[2:4] + terms[4:6]  # diagonal, off-diagonal
         quad = sums[0] + 2.0 * sums[1]
     logdet, maha = np.log(det), quad / det
-    if suspect is not None:
-        logdet[suspect], maha[suspect] = _cholesky_form(scale[:, suspect], diff[:, suspect])
+    if failed is not None:
+        logdet[failed], maha[failed] = _cholesky_form(scale[:, failed], diff[:, failed])
     return logdet, maha
 
 
@@ -243,7 +234,15 @@ def _log_student_t(scale: np.ndarray, diff: np.ndarray, df, half, const) -> np.n
         x = diff.T.copy()
         sol = np.linalg.solve(full, x[..., None])[..., 0]
         maha = np.einsum("...i,...i->...", x, sol)
-    return const - 0.5 * logdet - half * np.log1p(maha / df)
+    ratio = maha / df
+    # the form of a positive definite matrix is never negative; a ratio at
+    # or below -1, which leaves log1p no finite value, is cancellation lost
+    # on a nearly singular scale, so those columns are factored instead
+    if np.fmin.reduce(ratio) <= -1.0:
+        lost = ratio <= -1.0
+        logdet[lost], ratio[lost] = _cholesky_form(scale[:, lost], diff[:, lost])
+        ratio[lost] /= df[lost]
+    return const - 0.5 * logdet - half * np.log1p(ratio)
 
 
 def _student_t_terms(df, d: int):
@@ -364,11 +363,9 @@ class HypothesisSet:
         """The count table's columns for the live hypotheses; the table
         doubles when the longest run outgrows it."""
         run_lengths = self.run_lengths
-        lo, hi = int(run_lengths[0]), int(run_lengths[-1]) + 1
-        if hi > self._table.shape[1]:
-            self._table = _count_table(self.prior, 2 * hi)
-        if hi - lo == len(run_lengths):
-            return self._table[:, lo:hi]
+        longest = int(run_lengths[-1])
+        if longest >= self._table.shape[1]:
+            self._table = _count_table(self.prior, 2 * (longest + 1))
         return self._table[:, run_lengths]
 
     def _log_predictives(self, o: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -425,16 +422,14 @@ class HypothesisSet:
         The most probable hypothesis is kept even when it falls below.
         """
         log_w = self.log_weights
-        floor = math.log(threshold)
-        if log_w.min() < floor:
-            keep = log_w >= floor
-            if not keep.any():
-                keep[np.argmax(log_w)] = True
-            kept = np.flatnonzero(keep) + self._start
-            self._start = len(self._state[0]) - len(kept)
-            for buf in self._state:
-                buf[..., self._start:] = buf[..., kept]
-            log_w = self.log_weights
+        keep = log_w >= math.log(threshold)
+        if not keep.any():
+            keep[np.argmax(log_w)] = True
+        kept = np.flatnonzero(keep) + self._start
+        self._start = len(self._state[0]) - len(kept)
+        for buf in self._state:
+            buf[..., self._start:] = buf[..., kept]
+        log_w = self.log_weights
         log_w -= _logsumexp_1d(log_w)
 
 
@@ -510,13 +505,9 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
     for o in values:
         hyps = step(hyps, o, hazard)
         w = np.exp(hyps.log_weights)
-        if w.min() > 0.0:
-            run_lengths.append(hyps.run_lengths.copy())
-            weights.append(w)
-        else:
-            nonzero = w > 0.0
-            run_lengths.append(hyps.run_lengths[nonzero])
-            weights.append(w[nonzero])
+        nonzero = w > 0.0
+        run_lengths.append(hyps.run_lengths[nonzero])
+        weights.append(w[nonzero])
         if prune_threshold is not None:
             hyps.prune(prune_threshold)
     indptr = np.concatenate(([0], np.cumsum([len(w) for w in weights])))

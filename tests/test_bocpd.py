@@ -157,19 +157,29 @@ class TestLogPredictive:
             mc = monte_carlo_predictive_density(o, params, 200_000, seed=50 + k)
             assert abs(mc - exact) / exact < 0.05
 
-    def test_nearly_singular_scale_matches_scipy(self):
-        # collinear data under the noninformative prior: the scale is
-        # positive definite but cancellation eats its closed-form determinant.
-        # Its condition number is about 1e9, which bounds scipy's own
-        # eigendecomposition to a few parts in 1e9.
-        for window in ([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]],
-                       [[0.0, 0.0, 0.0]] * 2 + [[1.0, 2.0, 2.0]],
-                       [[0.0, 0.0, 0.0]] * 4 + [[1.0, 2.0, 2.0]]):
+    def test_scale_lost_by_closed_form_matches_scipy(self, monkeypatch):
+        # collinear windows under the noninformative prior give positive
+        # definite scales that the closed form loses to cancellation: the
+        # three- and five-row windows fail its leading minors, and the
+        # two-row window gives a form below -df, where log1p has no finite
+        # value. Those columns are factored by Cholesky and must agree with
+        # scipy, whose eigendecomposition is good to a few parts in 1e9 at
+        # the scales' condition number of about 1e9.
+        factored = []
+        cholesky_form = bocpd._cholesky_form
+        monkeypatch.setattr(bocpd, "_cholesky_form",
+                            lambda s, x: factored.append(s.shape[1]) or cholesky_form(s, x))
+        cases = [(window, o)
+                 for window in ([[0.0, 0.0, 0.0]] * 2 + [[1.0, 2.0, 2.0]],
+                                [[0.0, 0.0, 0.0]] * 4 + [[1.0, 2.0, 2.0]])
+                 for o in ([0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [0.5, 1.0, 1.0])]
+        cases.append(([[2.0, 2.0, -2.0], [0.0, 0.0, 0.0]], [2.0, 2.0, -2.0]))
+        for window, o in cases:
             params = nw_posterior_params(noninformative_prior(), np.array(window))
             scale, df = predictive_scale(params)
             ref = multivariate_t(loc=params.mu, shape=scale, df=df)
-            for o in (np.zeros(3), np.array([1.0, 2.0, 2.0]), np.array([0.5, 1.0, 1.0])):
-                assert log_predictive(o, params) == pytest.approx(ref.logpdf(o), rel=1e-7)
+            assert log_predictive(o, params) == pytest.approx(ref.logpdf(o), rel=1e-7)
+        assert factored == [1] * len(cases)
 
     def test_signals_non_positive_definite_scale(self):
         params = NormalWishartParams(np.zeros(3), 1.0, 4.0, np.zeros((3, 3)))
@@ -327,14 +337,17 @@ class TestRunInference:
             assert np.abs(P - B).max() < 1e-9
             assert np.allclose(P.sum(axis=0), 1.0, atol=1e-12)
 
-    def test_collinear_series_stays_exact(self):
+    @pytest.mark.parametrize("vals", [
+        [[0.0, 0.0, 0.0]] * 4 + [[1.0, 2.0, 2.0], [0.0, 0.0, 0.0]],  # fails the minors
+        [[2.0, 2.0, -2.0], [0.0, 0.0, 0.0], [2.0, 2.0, -2.0]],  # form below -df
+    ], ids=["minors", "negative_form"])
+    def test_collinear_series_stays_exact(self, vals):
         # windows of repeated and collinear points give nearly singular
         # scales under the noninformative prior; the recursion must still
         # agree with the oracle instead of failing
-        vals = np.array([[0.0, 0.0, 0.0]] * 4 + [[1.0, 2.0, 2.0], [0.0, 0.0, 0.0]])
         prior, hz = noninformative_prior(), HazardConfig(0.5)
-        P = run_inference(vals, prior, hz)
-        B = brute_force_posterior(vals, prior, hz)
+        P = run_inference(np.array(vals), prior, hz)
+        B = brute_force_posterior(np.array(vals), prior, hz)
         assert np.abs(P - B).max() < 1e-9
         assert np.allclose(P.sum(axis=0), 1.0, atol=1e-12)
 

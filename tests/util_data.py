@@ -134,9 +134,8 @@ def _quadratic_form_3x3(scale, diff):
     f = scale[..., 2, 2]
     minor2 = a * d - b * b
     det = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
-    # matrices failing the minors, or nearly singular ones (determinant at
-    # most 1e-10 of Hadamard's bound a * d * f), go to a Cholesky factor
-    suspect = (a <= 0.0) | (minor2 <= 0.0) | (det <= 0.0) | (det <= 1e-10 * (a * d * f))
+    if np.any(a <= 0.0) or np.any(minor2 <= 0.0) or np.any(det <= 0.0):
+        raise np.linalg.LinAlgError("predictive scale matrix is not positive definite")
     x0, x1, x2 = diff[..., 0], diff[..., 1], diff[..., 2]
     with np.errstate(invalid="ignore"):
         quad = (
@@ -145,18 +144,7 @@ def _quadratic_form_3x3(scale, diff):
             + minor2 * x2 * x2
             + 2.0 * ((c * e - b * f) * x0 * x1 + (b * e - c * d) * x0 * x2 + (b * c - a * e) * x1 * x2)
         )
-    det = np.where(suspect, 1.0, det)
-    logdet, maha = np.log(det), quad / det
-    if np.any(suspect):
-        try:
-            factor = np.linalg.cholesky(scale[suspect])
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError("predictive scale matrix is not positive definite") from None
-        logdet[suspect] = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            white = np.linalg.solve(factor, diff[suspect][..., None])[..., 0]
-            maha[suspect] = np.einsum("...i,...i->...", white, white)
-    return logdet, maha
+    return np.log(det), quad / det
 
 
 def _mvt_logpdf_batch(x, mu, scale, df):
