@@ -103,8 +103,7 @@ def _cmd_synthgen(args) -> int:
     if args.dedupe:
         axes = synthgen.dedupe_axes(axes)
     angles = synthgen.generate_angle_set(args.angles)
-    dataset = synthgen.generate_synthetic_dataset(axes, angles)
-    rows = synthgen.export_dataset_csv(dataset, args.out)
+    rows = synthgen.export_dataset_csv(axes, angles, args.out)
     if args.axes_out:
         synthgen.export_axes_csv(axes, args.axes_out)
     print(f"axes={len(axes)} orientations={rows} wrote {args.out}")

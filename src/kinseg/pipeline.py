@@ -12,7 +12,6 @@ evaluation metrics.
 from __future__ import annotations
 
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -70,20 +69,6 @@ def _make_prior(kind: str, sigma_epsilon: float) -> bocpd.NormalWishartParams:
     if kind == "informative":
         return bocpd.informative_prior()
     return bocpd.noninformative_prior(epsilon=sigma_epsilon)
-
-
-def _atomic_write(path: str, write_fn) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def load_embedding_series(config: PipelineConfig, data) -> kinematics.EmbeddingSeries:
@@ -169,16 +154,13 @@ def run_pipeline(config: PipelineConfig, data=None) -> dict:
 
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    _atomic_write(os.path.join(out, "segments.csv"),
-                  lambda p: segmentation.segments_to_csv(segments, p))
-    _atomic_write(os.path.join(out, "runlength.csv"),
-                  lambda p: segmentation.write_runlength_csv(p, raw_trace, post_trace))
-    _atomic_write(os.path.join(out, "posterior.csv"),
-                  lambda p: bocpd.posterior_to_csv(posterior, p))
-    _atomic_write(os.path.join(out, "posterior.pgm"),
-                  lambda p: bocpd.posterior_to_pgm(posterior, p))
-    _atomic_write(os.path.join(out, "report.json"),
-                  lambda p: segmentation.report_to_json(report, p))
+    segmentation.segments_to_csv(segments, os.path.join(out, "segments.csv"))
+    segmentation.write_runlength_csv(os.path.join(out, "runlength.csv"), raw_trace, post_trace)
+    tables.atomic_write(os.path.join(out, "posterior.csv"),
+                        lambda p: bocpd.posterior_to_csv(posterior, p))
+    tables.atomic_write(os.path.join(out, "posterior.pgm"),
+                        lambda p: bocpd.posterior_to_pgm(posterior, p))
+    segmentation.report_to_json(report, os.path.join(out, "report.json"))
     return report
 
 
@@ -256,9 +238,8 @@ def run_variant_sweep(
 
 
 def _write_sweep_table(path, columns, rows) -> None:
-    _atomic_write(str(path), lambda p: tables.write_csv(
-        p, columns, ([row[c] for c in columns] for row in rows), lineterminator="\n"
-    ))
+    tables.write_csv(path, columns, ([row[c] for c in columns] for row in rows),
+                     lineterminator="\n")
 
 
 def write_sweep_csv(sweep: dict, path) -> None:
@@ -274,4 +255,4 @@ def write_session_rows_csv(sweep: dict, path) -> None:
 
 
 def write_sweep_json(sweep: dict, path) -> None:
-    _atomic_write(str(path), lambda p: tables.write_json(p, sweep))
+    tables.write_json(path, sweep)

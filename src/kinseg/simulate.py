@@ -197,13 +197,9 @@ def generate_session_axis_angle(
     factor = int(factor)
     session = generate_session(config)
     emb = session.series.values
-    n_down = len(emb)
-    raw = np.empty((n_down * factor, 3))
-    for i in range(n_down):
-        start = emb[i]
-        stop = emb[i + 1] if i + 1 < n_down else emb[i]
-        frac = (np.arange(factor) / factor)[:, None]
-        raw[i * factor : (i + 1) * factor] = start + frac * (stop - start)
+    stop = np.vstack([emb[1:], emb[-1:]])  # the last sample holds still
+    frac = (np.arange(factor) / factor)[:, None]
+    raw = (emb[:, None] + frac * (stop - emb)[:, None]).reshape(-1, 3)
     raw = _clamp_to_shell(raw)
     raw[::factor] = emb  # keep the kept samples bit-exact
     axes, angles = adr_invert(raw)

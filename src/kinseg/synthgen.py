@@ -144,34 +144,41 @@ def generate_angle_set(n: int) -> np.ndarray:
     return np.arange(n, 0, -1) * (np.pi / n)
 
 
+def _product_factors(axes, angles):
+    """Axes as an (n, 3) array and angles as an (m, 1) column, both nonempty."""
+    axes = np.atleast_2d(np.asarray(axes, dtype=float))
+    angles = np.asarray(angles, dtype=float).reshape(-1, 1)
+    if axes.size == 0 or angles.size == 0:
+        raise ValueError("axes and angles must both be nonempty")
+    if axes.ndim != 2 or axes.shape[1] != 3:
+        raise ValueError("axes must have three columns")
+    return axes, angles
+
+
 def generate_synthetic_dataset(axes, angles) -> np.ndarray:
     """Cartesian product of axes and angles as rows (a1, a2, a3, angle).
 
     Axis-major: every angle of the first axis, then the next axis, and so
     on; row count is ``len(axes) * len(angles)``.
     """
-    axes = np.atleast_2d(np.asarray(axes, dtype=float))
-    angles = np.asarray(angles, dtype=float).ravel()
-    if axes.size == 0 or angles.size == 0:
-        raise ValueError("axes and angles must both be nonempty")
+    axes, angles = _product_factors(axes, angles)
     rows = np.empty((len(axes) * len(angles), 4))
     rows[:, :3] = np.repeat(axes, len(angles), axis=0)
-    rows[:, 3] = np.tile(angles, len(axes))
+    rows[:, 3] = np.tile(angles[:, 0], len(axes))
     return rows
 
 
-def export_dataset_csv(dataset, destination) -> int:
-    """Write orientation rows as CSV with header a1,a2,a3,angle_rad.
+def export_dataset_csv(axes, angles, destination) -> int:
+    """Write ``generate_synthetic_dataset(axes, angles)`` as CSV with
+    header a1,a2,a3,angle_rad, without building it.
 
-    Floats are written with shortest round-trip precision, so the file is
-    byte-identical across runs and loses no precision. Returns the number
-    of data rows written.
+    Each axis and each angle is formatted once, in shortest round-trip
+    form, so the file is byte-identical across runs and loses no
+    precision. Returns the number of data rows written.
     """
-    rows = np.atleast_2d(np.asarray(dataset, dtype=float))
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ValueError("dataset must have four columns: a1, a2, a3, angle_rad")
-    tables.write_csv(destination, ("a1", "a2", "a3", "angle_rad"), rows)
-    return len(rows)
+    axes, angles = _product_factors(axes, angles)
+    tables.write_product_csv(destination, ("a1", "a2", "a3", "angle_rad"), axes, angles)
+    return len(axes) * len(angles)
 
 
 def export_axes_csv(axes, destination) -> int:

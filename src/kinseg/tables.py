@@ -1,35 +1,103 @@
 """The CSV and JSON file formats of every kinseg input and artifact.
 
-Tables are written with ``csv.writer``: a header row, then one row per
-record, floats in shortest round-trip form (``repr``), ``None`` as an
+Tables are written as a header row, then one row per record: floats in
+shortest round-trip form (``repr``), integers plainly, ``None`` as an
 empty field, and ``\\r\\n`` line ends unless a caller asks for another.
-Tables are read back with a header check and a vectorised numeric parse
-that rejects malformed, ragged and non-finite rows with the path. JSON
-is written with an indent of 2, sorted keys and a final newline.
+Records given as Python rows go through ``csv.writer``. A 2D float
+array is formatted a block of rows at a time with one ``%r`` line
+template; ``csv.writer`` also writes a float as its ``repr`` and quotes
+no ``repr`` of a float, so the bytes are the same. A Cartesian product
+of two float arrays formats each row of each array once. Every file
+is written to a temporary name beside its path and renamed into place,
+so a failed write leaves no partial file. Tables are read back with a
+header check and a vectorised numeric parse that rejects malformed,
+ragged and non-finite rows with the path. JSON is written with an
+indent of 2, sorted keys and a final newline.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import warnings
 
 import numpy as np
+
+#: Rows of a float array formatted per ``write`` call.
+BLOCK_ROWS = 4096
+
+
+def atomic_write(path, write_fn) -> None:
+    """Call ``write_fn`` on a fresh temporary path in the directory of
+    ``path``, then rename that file onto ``path``. On any error the
+    temporary file is removed and ``path`` is left as it was."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{name}-{os.urandom(4).hex()}~")
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _template(width: int, end: str = "") -> str:
+    """A ``%`` template of ``width`` comma-separated ``repr`` cells."""
+    return ",".join(["%r"] * width) + end
+
+
+def _write_table(path, header, lineterminator, write_body) -> None:
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator=lineterminator)
+            writer.writerow(header)
+            write_body(fh, writer)
+
+    atomic_write(path, write)
 
 
 def write_csv(path, header, rows, lineterminator="\r\n") -> None:
     """Write ``header`` and then ``rows`` as CSV.
 
-    ``rows`` is an iterable of sequences of Python scalars, or a 2D float
-    array, which is converted one row at a time so that memory stays
-    flat on long tables.
+    ``rows`` is an iterable of sequences of Python scalars, written by
+    ``csv.writer``, or a 2D float array. An array is written
+    ``BLOCK_ROWS`` rows per ``write``: the block's cells fill one line
+    template repeated once per row, ``line * rows % cells``, so memory
+    stays flat on long tables. Each cell is the ``repr`` of a Python
+    float, which is what ``csv.writer`` writes for it (it never quotes
+    one), so both paths give the same bytes.
     """
-    if isinstance(rows, np.ndarray):
-        rows = (row.tolist() for row in rows)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(header)
-        writer.writerows(rows)
+    def write_body(fh, writer):
+        if not isinstance(rows, np.ndarray):
+            writer.writerows(rows)
+            return
+        line = _template(rows.shape[1], lineterminator)
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = rows[start:start + BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+    _write_table(path, header, lineterminator, write_body)
+
+
+def write_product_csv(path, header, left, right, lineterminator="\r\n") -> None:
+    """Write the Cartesian product of the rows of two 2D float arrays.
+
+    Row ``i * len(right) + j`` is row ``i`` of ``left`` followed by row
+    ``j`` of ``right``: the bytes ``write_csv`` gives for the stacked
+    product array, with each row of each array formatted once.
+    """
+    prefix, line = _template(left.shape[1], ","), _template(right.shape[1], lineterminator)
+    prefixes = [prefix % tuple(row) for row in left.tolist()]
+    # prefix.join(["", *lines]) puts the prefix in front of every line
+    lines = ["", *(line % tuple(row) for row in right.tolist())]
+
+    def write_body(fh, writer):
+        for prefix in prefixes:
+            fh.write(prefix.join(lines))
+
+    _write_table(path, header, lineterminator, write_body)
 
 
 def read_csv(path, headers, dtype=float):
@@ -71,5 +139,8 @@ def json_text(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(json_text(obj))
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(json_text(obj))
+
+    atomic_write(path, write)

@@ -35,7 +35,7 @@ WRITERS = {
         b"2.0,0.6,0.8,0.0,1e-20\r\n",
     ),
     "dataset": (
-        lambda p: synthgen.export_dataset_csv([[0.0, -1.0, 0.0, np.pi / 2]], p),
+        lambda p: synthgen.export_dataset_csv([[0.0, -1.0, 0.0]], [np.pi / 2], p),
         b"a1,a2,a3,angle_rad\r\n0.0,-1.0,0.0,1.5707963267948966\r\n",
     ),
     "axes": (

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinseg import kinematics, metrics, simulate
+from kinseg import cli, kinematics, metrics, simulate
 from kinseg.simulate import SessionConfig, generate_session, generate_session_axis_angle
 
 
@@ -113,6 +113,29 @@ class TestAxisAngleSession:
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError):
             generate_session_axis_angle(SessionConfig(seed=0), factor=0)
+
+    @pytest.mark.parametrize("seed,factor", [(1, 100), (4, 7), (5, 1)])
+    def test_bytes_match_per_step_loop(self, tmp_path, seed, factor):
+        """The interpolation, one sample step at a time as it was first
+        written, gives the bytes ``simulate --level axis-angle`` writes."""
+        config = SessionConfig(postures=4, seed=seed)
+        emb = generate_session(config).series.values
+        raw = np.empty((len(emb) * factor, 3))
+        for i in range(len(emb)):
+            start = emb[i]
+            stop = emb[i + 1] if i + 1 < len(emb) else emb[i]
+            frac = (np.arange(factor) / factor)[:, None]
+            raw[i * factor : (i + 1) * factor] = start + frac * (stop - start)
+        raw = simulate._clamp_to_shell(raw)
+        raw[::factor] = emb
+        axes, angles = kinematics.adr_invert(raw)
+        expected = tmp_path / "expected.csv"
+        kinematics.write_axis_angle_csv(expected, np.arange(len(raw)) / 30.0, axes, angles)
+
+        assert cli.main(["simulate", "--seed", str(seed), "--postures", "4",
+                         "--level", "axis-angle", "--decimation", str(factor),
+                         "--out", str(tmp_path / "sim")]) == 0
+        assert (tmp_path / "sim" / "session.csv").read_bytes() == expected.read_bytes()
 
 
 class TestShellClamp:

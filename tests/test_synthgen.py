@@ -173,9 +173,8 @@ class TestDataset:
 
 class TestCsvExport:
     def test_header_and_rows(self, tmp_path):
-        rows = synthgen.generate_synthetic_dataset([[0.0, 0.0, 1.0]], [np.pi, np.pi / 2])
         path = tmp_path / "data.csv"
-        written = synthgen.export_dataset_csv(rows, path)
+        written = synthgen.export_dataset_csv([[0.0, 0.0, 1.0]], [np.pi, np.pi / 2], path)
         lines = path.read_text().splitlines()
         assert written == 2
         assert lines[0] == "a1,a2,a3,angle_rad"
@@ -183,20 +182,28 @@ class TestCsvExport:
 
     def test_roundtrip_precision(self, tmp_path):
         axes = synthgen.project_ellipsoidal(synthgen.build_cube_mesh(3))
-        rows = synthgen.generate_synthetic_dataset(axes, synthgen.generate_angle_set(4))
+        angles = synthgen.generate_angle_set(4)
+        rows = synthgen.generate_synthetic_dataset(axes, angles)
         path = tmp_path / "data.csv"
-        synthgen.export_dataset_csv(rows, path)
+        synthgen.export_dataset_csv(axes, angles, path)
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(back, rows)
 
     def test_deterministic_bytes(self, tmp_path):
-        rows = synthgen.generate_synthetic_dataset([[0.5, 0.5, np.sqrt(0.5)]], [1.234567890123])
+        axes, angles = [[0.5, 0.5, np.sqrt(0.5)]], [1.234567890123]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        synthgen.export_dataset_csv(rows, a)
-        synthgen.export_dataset_csv(rows, b)
+        synthgen.export_dataset_csv(axes, angles, a)
+        synthgen.export_dataset_csv(axes, angles, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_destination(self, tmp_path):
-        rows = synthgen.generate_synthetic_dataset([[0.0, 0.0, 1.0]], [np.pi])
         with pytest.raises(OSError):
-            synthgen.export_dataset_csv(rows, tmp_path / "missing" / "data.csv")
+            synthgen.export_dataset_csv([[0.0, 0.0, 1.0]], [np.pi],
+                                        tmp_path / "missing" / "data.csv")
+
+    def test_rejects_empty_or_wrong_width(self, tmp_path):
+        for axes, angles in (([], [1.0]), ([[1.0, 0.0, 0.0]], []),
+                             ([[1.0, 0.0, 0.0, 1.0]], [1.0])):
+            with pytest.raises(ValueError):
+                synthgen.export_dataset_csv(axes, angles, tmp_path / "data.csv")
+        assert not (tmp_path / "data.csv").exists()

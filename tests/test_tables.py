@@ -1,0 +1,169 @@
+"""The array writers of ``tables`` against a ``csv.writer`` reference, and
+atomic replacement of every file they write.
+
+``write_csv`` formats a float array a block of rows at a time and
+``write_product_csv`` formats each row of its two factors once; both
+must give the bytes ``csv.writer`` gives for the same rows.
+"""
+
+import csv
+import errno
+import io
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from kinseg import cli, synthgen, tables
+
+SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-05, 0.0001, 1e16,
+           9999999999999998.0, 1.0]
+
+
+def reference_csv(header, rows, lineterminator="\r\n") -> bytes:
+    """The bytes of ``csv.writer`` over the rows as Python lists."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows(np.asarray(rows).tolist())
+    return buf.getvalue().encode()
+
+
+def special_table(n_rows, width, seed=0):
+    """Every special value in every column, then random normals and
+    subnormals."""
+    rng = np.random.default_rng(seed)
+    cells = rng.standard_normal(n_rows * width) * 10.0 ** rng.integers(-320, 300, n_rows * width)
+    head = min(len(SPECIAL) * width, cells.size)
+    cells[:head] = np.resize(SPECIAL, head)
+    return cells.reshape(n_rows, width)
+
+
+def written(tmp_path, write):
+    path = tmp_path / "t.csv"
+    write(path)
+    return path.read_bytes()
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_rows", [0, 1, 4096, 4097, 8193])
+    def test_matches_csv_writer(self, tmp_path, n_rows, width):
+        header = [f"c{i}" for i in range(width)]
+        rows = special_table(n_rows, width, seed=n_rows + width)
+        got = written(tmp_path, lambda p: tables.write_csv(p, header, rows))
+        assert got == reference_csv(header, rows)
+        assert got.count(b"\r\n") == n_rows + 1
+
+    def test_special_values(self, tmp_path):
+        rows = np.array(SPECIAL).reshape(-1, 1)
+        got = written(tmp_path, lambda p: tables.write_csv(p, ["x"], rows))
+        assert got == reference_csv(["x"], rows)
+        assert got.decode().split("\r\n")[1:-1] == [
+            "-0.0", "inf", "-inf", "nan", "5e-324", "1e-05", "0.0001", "1e+16",
+            "9999999999999998.0", "1.0"]
+
+    def test_lf_and_non_contiguous_rows(self, tmp_path):
+        rows = special_table(9000, 6)[::2, 1:4]  # a strided view
+        got = written(tmp_path, lambda p: tables.write_csv(p, "abc", rows, lineterminator="\n"))
+        assert got == reference_csv("abc", rows, lineterminator="\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.tuples(st.integers(0, 30), st.integers(1, 5)).flatmap(
+           lambda shape: arrays(np.float64, shape)),
+       block=st.integers(1, 8))
+def test_block_writer_property(tmp_path_factory, rows, block):
+    """Any float64 table, non-finite values included, at any block size."""
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    path = tmp_path_factory.mktemp("block") / "t.csv"
+    with mock.patch.object(tables, "BLOCK_ROWS", block):
+        tables.write_csv(path, header, rows)
+    assert path.read_bytes() == reference_csv(header, rows)
+
+
+def _axes(projection, resolution, dedupe):
+    axes = projection(synthgen.build_cube_mesh(resolution))
+    return synthgen.dedupe_axes(axes) if dedupe else axes
+
+
+class TestProductWriter:
+    @pytest.mark.parametrize("projection", [synthgen.project_ellipsoidal,
+                                            synthgen.project_euclidean],
+                             ids=["ellipsoidal", "euclidean"])
+    @pytest.mark.parametrize("dedupe", [False, True], ids=["keep", "dedupe"])
+    @pytest.mark.parametrize("resolution,n_angles", [(15, 36), (2, 1), (2, 36), (15, 1)])
+    def test_dataset_matches_block_writer(self, tmp_path, projection, dedupe, resolution,
+                                          n_angles):
+        axes = _axes(projection, resolution, dedupe)
+        angles = synthgen.generate_angle_set(n_angles)
+        header = ("a1", "a2", "a3", "angle_rad")
+        expected = written(tmp_path, lambda p: tables.write_csv(
+            p, header, synthgen.generate_synthetic_dataset(axes, angles)))
+        path = tmp_path / "product.csv"
+        assert synthgen.export_dataset_csv(axes, angles, path) == len(axes) * len(angles)
+        assert path.read_bytes() == expected
+
+    def test_special_values_both_sides(self, tmp_path):
+        left = special_table(7, 2)
+        right = special_table(5, 3, seed=1)
+        stacked = np.hstack([np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))])
+        got = written(tmp_path, lambda p: tables.write_product_csv(p, "abcde", left, right,
+                                                                  lineterminator="\n"))
+        assert got == reference_csv("abcde", stacked, lineterminator="\n")
+
+    @pytest.mark.parametrize("left_rows,right_rows", [(0, 3), (3, 0)])
+    def test_empty_factor_writes_header_only(self, tmp_path, left_rows, right_rows):
+        got = written(tmp_path, lambda p: tables.write_product_csv(
+            p, "abc", np.zeros((left_rows, 2)), np.zeros((right_rows, 1))))
+        assert got == b"a,b,c\r\n"
+
+
+def _failing_open(fail_after):
+    """``open`` whose files raise ENOSPC on the write after ``fail_after``."""
+    def fake_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        real_write, calls = fh.write, []
+
+        def write(text):
+            calls.append(1)
+            if len(calls) > fail_after:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(text)
+
+        fh.write = write
+        return fh
+
+    return fake_open
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("argv,name", [
+        (["synthgen", "--resolution", "3", "--angles", "4", "--out", "{out}/orientations.csv"],
+         "orientations.csv"),
+        (["simulate", "--seed", "1", "--postures", "2", "--replications", "1",
+          "--out", "{out}"], "session.csv"),
+        (["simulate", "--seed", "1", "--postures", "2", "--replications", "1",
+          "--level", "axis-angle", "--decimation", "5", "--out", "{out}"], "session.csv"),
+    ], ids=["synthgen", "simulate_embedding", "simulate_axis_angle"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, argv, name):
+        (tmp_path / name).write_bytes(b"old\r\n")
+        # the header goes through, the first data write fails
+        monkeypatch.setattr(tables, "open", _failing_open(1), raising=False)
+        assert cli.main([arg.format(out=tmp_path) for arg in argv]) == cli.EXIT_IO
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+        assert (tmp_path / name).read_bytes() == b"old\r\n"
+
+    def test_failed_json_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tables, "open", _failing_open(0), raising=False)
+        with pytest.raises(OSError):
+            tables.write_json(tmp_path / "r.json", {"a": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            tables.write_csv(tmp_path / "missing" / "t.csv", ["a"], np.zeros((1, 1)))
+        assert list(tmp_path.iterdir()) == []
