@@ -19,11 +19,12 @@ the recursion.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import tables
 
 
 def _logsumexp_1d(x: np.ndarray) -> float:
@@ -140,118 +141,55 @@ def nw_posterior_params(prior: NormalWishartParams, window) -> NormalWishartPara
     return NormalWishartParams(mu_n, kappa_n, prior.nu + n, sigma_n)
 
 
-# A symmetric 3x3 matrix s is packed as its upper triangle (a, b, c, d, e, f)
-# in np.triu_indices order. Its adjugate is adj = p[:6] - p[6:] with
-# p = s[_ADJ_LEFT] * s[_ADJ_RIGHT], in the order C00 C01 C11 C02 C22 C12, so
-# the diagonal and off-diagonal terms of the quadratic form pair up as
-# slices; entry k of the form is adj[k] * x[_ADJ_ROW[k]] * x[_ADJ_COL[k]].
-_ADJ_LEFT = np.array([3, 2, 0, 1, 0, 1, 4, 1, 2, 2, 1, 0])
-_ADJ_RIGHT = np.array([5, 4, 5, 4, 3, 2, 4, 5, 2, 3, 1, 4])
-_ADJ_ROW = np.array([0, 0, 1, 0, 2, 1])
-_ADJ_COL = np.array([0, 1, 1, 2, 2, 2])
-
-
-def _quadratic_form_3x3(scale: np.ndarray, diff: np.ndarray):
-    """(log determinant, Mahalanobis form) for packed symmetric 3x3 scales.
-
-    Column h of ``scale`` is one matrix as its upper triangle (a, b, c, d,
-    e, f), column h of ``diff`` one vector. Closed-form determinant and
-    adjugate: a few elementwise operations per matrix instead of a LAPACK
-    call each, which is what keeps the per-step cost flat across thousands
-    of hypotheses. Each cofactor is computed once, for the determinant and
-    the form alike. A matrix that fails the leading principal minors is
-    factored by Cholesky instead: cancellation in the expansion can cost a
-    nearly singular matrix (as the noninformative prior makes of short or
-    collinear windows) its determinant, and only the factor tells it from
-    one that is not positive definite, which fails loudly.
-    """
-    products = scale[_ADJ_LEFT] * scale[_ADJ_RIGHT]
-    adj = products[:6] - products[6:]
-    expansion = scale[:2] * adj[:2]  # a C00, b C01; then c C02
-    det = expansion[0] + expansion[1] + scale[2] * adj[3]
-    # fmin skips NaN, so NaN scales pass the check as they always did
-    failed = None
-    if np.fmin.reduce(np.fmin(np.fmin(scale[0], adj[4]), det)) <= 0.0:
-        failed = (scale[0] <= 0.0) | (adj[4] <= 0.0) | (det <= 0.0)
-        det[failed] = 1.0  # placeholder, overwritten from the factor below
-    # non-finite observations yield nan, caught by the evidence check downstream
-    with np.errstate(invalid="ignore"):
-        terms = adj * diff[_ADJ_ROW] * diff[_ADJ_COL]
-        sums = terms[0:2] + terms[2:4] + terms[4:6]  # diagonal, off-diagonal
-        quad = sums[0] + 2.0 * sums[1]
-    logdet, maha = np.log(det), quad / det
-    if failed is not None:
-        logdet[failed], maha[failed] = _cholesky_form(scale[:, failed], diff[:, failed])
-    return logdet, maha
-
-
-@functools.cache
-def _upper_indices(d: int):
-    return np.triu_indices(d)
-
-
-def _unpack(scale: np.ndarray, d: int) -> np.ndarray:
-    """Stacked full d x d matrices from packed upper-triangle columns."""
-    i, j = _upper_indices(d)
-    full = np.empty((scale.shape[1], d, d))
-    full[:, i, j] = scale.T
-    full[:, j, i] = scale.T
-    return full
-
-
-def _cholesky_form(scale: np.ndarray, diff: np.ndarray):
-    """(log determinant, Mahalanobis form) through a Cholesky factor per
-    column; raises ``LinAlgError`` unless every matrix is positive definite."""
-    try:
-        factor = np.linalg.cholesky(_unpack(scale, diff.shape[0]))
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("predictive scale matrix is not positive definite") from None
-    logdet = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        white = np.linalg.solve(factor, diff.T[..., None])[..., 0]
-        maha = np.einsum("...i,...i->...", white, white)
-    return logdet, maha
-
-
 def _log_student_t(scale: np.ndarray, diff: np.ndarray, df, half, const) -> np.ndarray:
     """Multivariate Student-t log density, one column per density.
 
-    ``scale`` holds each symmetric scale matrix as its upper triangle in
-    ``np.triu_indices`` order, ``diff`` the observation minus the location,
-    and ``half, const`` come from ``_student_t_terms(df, d)``. Never forms
-    an explicit inverse: the 3D case runs through closed-form determinants
-    and adjugates, other dimensions through slogdet plus a batched solve;
-    scale matrices that are not positive definite fail loudly either way.
+    ``scale`` holds each symmetric scale matrix S as its upper triangle in
+    ``np.triu_indices`` order, ``diff`` the observation x minus the
+    location, and ``half, const`` come from ``_student_t_terms(df, d)``.
+    Every dimension takes one route: S = U^T U is factored one packed
+    entry at a time, each a numpy operation over all columns. Pivot j is
+    S_jj - sum_k<j U_kj^2 and must be positive, or the scale is not
+    positive definite and ``LinAlgError`` is raised; U_ji = (S_ji - sum_k<j
+    U_kj U_ki) / sqrt(pivot j) and y_j = (x_j - sum_k<j U_kj y_k) /
+    sqrt(pivot j). Then log det S is the sum of the log pivots and the
+    Mahalanobis form is |y|^2. No inverse, determinant expansion or LAPACK
+    call: the factor stays accurate on the nearly singular scales the
+    noninformative prior gives short or collinear windows.
     """
     d = diff.shape[0]
-    if d == 3:
-        logdet, maha = _quadratic_form_3x3(scale, diff)
-    else:
-        full = _unpack(scale, d)
-        sign, logdet = np.linalg.slogdet(full)
-        if np.any(sign <= 0):
+    factor, pivots, white = {}, np.empty_like(diff), np.empty_like(diff)
+    row = 0  # packed index of S_jj
+    # non-finite observations yield nan, caught by the evidence check downstream
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(d):
+            pivot, y = scale[row], diff[j]
+            for k in range(j):
+                pivot = pivot - factor[k, j] * factor[k, j]
+                y = y - factor[k, j] * white[k]
+            pivots[j] = pivot
+            root = np.sqrt(pivot)
+            np.divide(y, root, out=white[j])
+            for i in range(j + 1, d):
+                s = scale[row + i - j]
+                for k in range(j):
+                    s = s - factor[k, j] * factor[k, i]
+                factor[j, i] = s / root
+            row += d - j
+        # fmin skips NaN, so NaN scales pass the check as they always did
+        if np.fmin.reduce(pivots, axis=None) <= 0.0:
             raise np.linalg.LinAlgError("predictive scale matrix is not positive definite")
-        x = diff.T.copy()
-        sol = np.linalg.solve(full, x[..., None])[..., 0]
-        maha = np.einsum("...i,...i->...", x, sol)
-    ratio = maha / df
-    # the form of a positive definite matrix is never negative; a ratio at
-    # or below -1, which leaves log1p no finite value, is cancellation lost
-    # on a nearly singular scale, so those columns are factored instead
-    if np.fmin.reduce(ratio) <= -1.0:
-        lost = ratio <= -1.0
-        logdet[lost], ratio[lost] = _cholesky_form(scale[:, lost], diff[:, lost])
-        ratio[lost] /= df[lost]
-    return const - 0.5 * logdet - half * np.log1p(ratio)
+        logdet = np.log(pivots).sum(axis=0)
+        maha = (white * white).sum(axis=0)
+    return const - 0.5 * logdet - half * np.log1p(maha / df)
 
 
 def _student_t_terms(df, d: int):
     """(0.5 (df + d), log normalising constant) of a d-dimensional Student-t
     with ``df`` degrees of freedom, elementwise."""
-    from scipy.special import gammaln  # scipy loads only when inference runs
-
     half = 0.5 * (df + d)
-    return half, gammaln(half) - gammaln(0.5 * df) - 0.5 * d * np.log(df * np.pi)
+    gammas = [math.lgamma(h) - math.lgamma(0.5 * v) for h, v in zip(half.tolist(), df.tolist())]
+    return half, np.array(gammas) - 0.5 * d * np.log(df * np.pi)
 
 
 def predictive_scale(params: NormalWishartParams):
@@ -576,43 +514,11 @@ def brute_force_posterior(series, prior: NormalWishartParams, hazard: HazardConf
     return posterior
 
 
-def _write_matrix_text(path, posterior: RunLengthPosterior, cells, fmt: str, sep: str,
-                       header: str = "") -> None:
-    """Write the posterior matrix as text, one run-length row per line.
-
-    Stored cells print as ``fmt % cell`` (``cells`` is aligned with the
-    stored entries), every other cell as 0, separated by ``sep``. Each
-    stretch of adjacent stored cells in a row is formatted in one go.
-    """
-    n = posterior.size
-    order = np.argsort(posterior.run_lengths, kind="stable")  # by row, then column
-    rows = posterior.run_lengths[order]
-    cols = posterior.steps()[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1] + 1)
-    starts = np.flatnonzero(new)
-    row_stretches = np.searchsorted(rows[starts], np.arange(n + 1)).tolist()
-    first_cols = cols[starts].tolist()
-    bounds = np.append(starts, len(rows)).tolist()
-    cells = np.asarray(cells)[order].tolist()
-    zero, item = "0" + sep, fmt + sep
-    with open(path, "w") as fh:
-        fh.write(header)
-        for r in range(n):
-            pieces, filled = [], 0
-            for s in range(row_stretches[r], row_stretches[r + 1]):
-                a, b = bounds[s], bounds[s + 1]
-                pieces.append(zero * (first_cols[s] - filled))
-                pieces.append(item * (b - a) % tuple(cells[a:b]))
-                filled = first_cols[s] + b - a
-            pieces.append(zero * (n - filled))
-            fh.write("".join(pieces)[:-len(sep)] + "\n")
-
-
 def posterior_to_csv(posterior: RunLengthPosterior, path) -> None:
     """Dense CSV export of the posterior matrix (rows = run length, columns =
     time), each cell as ``%.9g``."""
-    _write_matrix_text(path, posterior, posterior.weights, "%.9g", ",")
+    tables.write_matrix_text(path, posterior.size, posterior.run_lengths, posterior.steps(),
+                             posterior.weights, "%.9g", ",")
 
 
 def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
@@ -626,4 +532,5 @@ def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
     np.maximum.at(row_max, posterior.run_lengths, posterior.weights)
     gray = np.rint(255.0 * (posterior.weights / row_max[posterior.run_lengths])).astype(int)
     n = posterior.size
-    _write_matrix_text(path, posterior, gray, "%d", " ", f"P2\n{n} {n}\n255\n")
+    tables.write_matrix_text(path, n, posterior.run_lengths, posterior.steps(), gray, "%d", " ",
+                             f"P2\n{n} {n}\n255\n")

@@ -156,10 +156,8 @@ def run_pipeline(config: PipelineConfig, data=None) -> dict:
     os.makedirs(out, exist_ok=True)
     segmentation.segments_to_csv(segments, os.path.join(out, "segments.csv"))
     segmentation.write_runlength_csv(os.path.join(out, "runlength.csv"), raw_trace, post_trace)
-    tables.atomic_write(os.path.join(out, "posterior.csv"),
-                        lambda p: bocpd.posterior_to_csv(posterior, p))
-    tables.atomic_write(os.path.join(out, "posterior.pgm"),
-                        lambda p: bocpd.posterior_to_pgm(posterior, p))
+    bocpd.posterior_to_csv(posterior, os.path.join(out, "posterior.csv"))
+    bocpd.posterior_to_pgm(posterior, os.path.join(out, "posterior.pgm"))
     segmentation.report_to_json(report, os.path.join(out, "report.json"))
     return report
 

@@ -7,9 +7,11 @@ Records given as Python rows go through ``csv.writer``. A 2D float
 array is formatted a block of rows at a time with one ``%r`` line
 template; ``csv.writer`` also writes a float as its ``repr`` and quotes
 no ``repr`` of a float, so the bytes are the same. A Cartesian product
-of two float arrays formats each row of each array once. Every file
-is written to a temporary name beside its path and renamed into place,
-so a failed write leaves no partial file. Tables are read back with a
+of two float arrays formats each row of each array once. A dense
+matrix with few stored cells is written as text a row at a time, its
+zero stretches as repeated strings. Every file is written to a
+temporary name beside its path and renamed into place, so a failed
+write leaves no partial file. Tables are read back with a
 header check and a vectorised numeric parse that rejects malformed,
 ragged and non-finite rows with the path. JSON is written with an
 indent of 2, sorted keys and a final newline.
@@ -98,6 +100,41 @@ def write_product_csv(path, header, left, right, lineterminator="\r\n") -> None:
             fh.write(prefix.join(lines))
 
     _write_table(path, header, lineterminator, write_body)
+
+
+def write_matrix_text(path, n, rows, cols, cells, fmt, sep, header="") -> None:
+    """Write an n x n matrix as text, ``header`` then one line per row.
+
+    The stored cells sit at (``rows``, ``cols``), ordered by column,
+    and print as ``fmt % cell``; every other cell prints as 0. Cells are
+    separated by ``sep``. Each stretch of adjacent stored cells in a row
+    is formatted in one go.
+    """
+    order = np.argsort(rows, kind="stable")  # by row, then column
+    rows, cols = rows[order], cols[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1] + 1)
+    starts = np.flatnonzero(new)
+    row_stretches = np.searchsorted(rows[starts], np.arange(n + 1)).tolist()
+    first_cols = cols[starts].tolist()
+    bounds = np.append(starts, len(rows)).tolist()
+    cells = np.asarray(cells)[order].tolist()
+    zero, item = "0" + sep, fmt + sep
+
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(header)
+            for r in range(n):
+                pieces, filled = [], 0
+                for s in range(row_stretches[r], row_stretches[r + 1]):
+                    a, b = bounds[s], bounds[s + 1]
+                    pieces.append(zero * (first_cols[s] - filled))
+                    pieces.append(item * (b - a) % tuple(cells[a:b]))
+                    filled = first_cols[s] + b - a
+                pieces.append(zero * (n - filled))
+                fh.write("".join(pieces)[:-len(sep)] + "\n")
+
+    atomic_write(path, write)
 
 
 def read_csv(path, headers, dtype=float):

@@ -339,7 +339,7 @@ class TestSynthgenCommand:
 
 
 class TestImportHygiene:
-    """scipy is loaded only when inference runs."""
+    """kinseg never loads scipy: it is a test dependency only."""
 
     SCRIPT = """
 import json, sys
@@ -359,11 +359,11 @@ loaded["run"] = "scipy" in sys.modules
 print(json.dumps(loaded))
 """
 
-    def test_scipy_loaded_only_by_inference(self, tmp_path):
+    def test_scipy_never_loaded(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         env.pop(pipeline.OUTPUT_DIR_ENV, None)
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)], env=env,
                               capture_output=True, text=True, check=True)
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert loaded == {"import": False, "synthgen": False, "simulate": False,
-                          "run_exit": 0, "run": True}
+                          "run_exit": 0, "run": False}

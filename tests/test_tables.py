@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kinseg import cli, synthgen, tables
+from kinseg import bocpd, cli, synthgen, tables
 
 SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-05, 0.0001, 1e16,
            9999999999999998.0, 1.0]
@@ -156,6 +156,16 @@ class TestAtomicWrites:
         assert cli.main([arg.format(out=tmp_path) for arg in argv]) == cli.EXIT_IO
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
         assert (tmp_path / name).read_bytes() == b"old\r\n"
+
+    def test_failed_posterior_write_leaves_old_file(self, tmp_path, monkeypatch):
+        P = bocpd.infer_posterior(np.zeros((3, 3)), bocpd.informative_prior(),
+                                  bocpd.HazardConfig(0.01))
+        (tmp_path / "posterior.csv").write_bytes(b"old\n")
+        monkeypatch.setattr(tables, "open", _failing_open(1), raising=False)
+        with pytest.raises(OSError):
+            bocpd.posterior_to_csv(P, tmp_path / "posterior.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["posterior.csv"]
+        assert (tmp_path / "posterior.csv").read_bytes() == b"old\n"
 
     def test_failed_json_write_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tables, "open", _failing_open(0), raising=False)
