@@ -10,7 +10,6 @@ from .bocpd import (
     log_predictive,
     noninformative_prior,
     nw_posterior_params,
-    run_inference,
     step,
 )
 from .kinematics import (
@@ -19,7 +18,6 @@ from .kinematics import (
     adr_invert,
     decimate,
     quaternion_series_to_axis_angle,
-    quaternion_to_axis_angle,
 )
 from .metrics import (
     EvaluationReport,
@@ -37,7 +35,6 @@ from .segmentation import (
     detect_resets,
     filter_repetitive_resets,
     lms_estimate,
-    lms_trace,
     postprocess_runlength,
 )
 from .simulate import LabeledSession, SessionConfig, generate_session, generate_session_axis_angle

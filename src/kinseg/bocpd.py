@@ -261,6 +261,7 @@ class HypothesisSet:
     _INITIAL_CAPACITY = 16
 
     def __init__(self, prior: NormalWishartParams):
+        """The time-zero state: run length zero with certainty, no data."""
         d = prior.dim
         self.prior = prior
         self._upper = np.triu_indices(d)
@@ -272,11 +273,6 @@ class HypothesisSet:
         self._state = (np.zeros(cap, dtype=int), np.zeros((d, cap)),
                        np.zeros((len(self._upper[0]), cap)), np.zeros(cap))
         self._start = cap - 1
-
-    @classmethod
-    def initial(cls, prior: NormalWishartParams) -> "HypothesisSet":
-        """The time-zero state: run length zero with certainty, no data."""
-        return cls(prior)
 
     def __len__(self) -> int:
         return len(self._state[0]) - self._start
@@ -410,17 +406,15 @@ class RunLengthPosterior:
     run_lengths: np.ndarray
     weights: np.ndarray
 
-    def steps(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Column (time step) of each entry stored for columns start..stop-1."""
-        stop = self.size if stop is None else min(stop, self.size)
-        return np.repeat(np.arange(start, stop), np.diff(self.indptr[start:stop + 1]))
+    def steps(self) -> np.ndarray:
+        """Column (time step) of each stored entry."""
+        return np.repeat(np.arange(self.size), np.diff(self.indptr))
 
-    def toarray(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Columns start..stop-1 as a dense (T+1)-row matrix (all by default)."""
-        stop = self.size if stop is None else min(stop, self.size)
-        a, b = self.indptr[start], self.indptr[stop]
-        dense = np.zeros((self.size, stop - start))
-        dense[self.run_lengths[a:b], self.steps(start, stop) - start] = self.weights[a:b]
+    def toarray(self) -> np.ndarray:
+        """The dense (T+1) x (T+1) matrix, rows indexed by run length and
+        columns by time step."""
+        dense = np.zeros((self.size, self.size))
+        dense[self.run_lengths, self.steps()] = self.weights
         return dense
 
 
@@ -438,7 +432,7 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
     """
     values = getattr(series, "values", series)
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    hyps = HypothesisSet.initial(prior)
+    hyps = HypothesisSet(prior)
     run_lengths, weights = [hyps.run_lengths.copy()], [np.exp(hyps.log_weights)]
     for o in values:
         hyps = step(hyps, o, hazard)
@@ -453,13 +447,6 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
                               np.concatenate(weights))
 
 
-def run_inference(series, prior: NormalWishartParams, hazard: HazardConfig,
-                  prune_threshold: float | None = None) -> np.ndarray:
-    """``infer_posterior`` as a dense (T+1) x (T+1) matrix, rows indexed by
-    run length and columns by time step."""
-    return infer_posterior(series, prior, hazard, prune_threshold).toarray()
-
-
 def brute_force_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
                           max_steps: int = 12) -> np.ndarray:
     """Run-length posterior by exhaustive changepoint enumeration.
@@ -471,7 +458,7 @@ def brute_force_posterior(series, prior: NormalWishartParams, hazard: HazardConf
     at step c ends its segment after the observation at c, so segments
     span (previous changepoint, changepoint]. Only feasible for short
     series (2^T configurations); this is the test oracle for
-    ``run_inference``.
+    ``infer_posterior``.
     """
     values = getattr(series, "values", series)
     values = np.atleast_2d(np.asarray(values, dtype=float))

@@ -116,14 +116,13 @@ def _cmd_simulate(args) -> int:
     out = _output_dir(args.out)
     os.makedirs(out, exist_ok=True)
     config = _session_config(args, args.seed)
+    data_path = os.path.join(out, "session.csv")
     if args.level == "embedding":
         session = simulate.generate_session(config)
-        data_path = os.path.join(out, "session.csv")
         kinematics.write_embedding_csv(data_path, session.series)
     else:
         session = simulate.generate_session_axis_angle(config, factor=args.decimation)
         timestamps, axes, angles = session.axis_angle
-        data_path = os.path.join(out, "session.csv")
         kinematics.write_axis_angle_csv(data_path, timestamps, axes, angles)
     labels_path = os.path.join(out, "labels.csv")
     simulate.write_labels_csv(labels_path, session.segments)
@@ -269,15 +268,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (CliError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -44,27 +44,6 @@ def _canonicalize(q: np.ndarray) -> np.ndarray:
     return q * sign[..., None]
 
 
-def quaternion_to_axis_angle(q, fallback_axis=DEFAULT_AXIS):
-    """Convert one quaternion (w, i, j, k) to a unit axis and angle in [0, pi].
-
-    The quaternion is normalised and sign-canonicalised first (q and -q are
-    the same rotation). At angles below ZERO_ANGLE_EPS the axis is
-    undefined; ``fallback_axis`` is returned instead.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValueError("quaternion must have four components (w, i, j, k)")
-    norm = np.linalg.norm(q)
-    if norm < 1e-12:
-        raise ValueError("cannot convert a zero quaternion")
-    q = _canonicalize(q / norm)
-    angle = 2.0 * np.arccos(np.clip(q[0], -1.0, 1.0))
-    if angle <= ZERO_ANGLE_EPS:
-        return np.asarray(fallback_axis, dtype=float), float(angle)
-    axis = q[1:] / np.linalg.norm(q[1:])
-    return axis, float(angle)
-
-
 def quaternion_series_to_axis_angle(quats):
     """Convert a quaternion timeseries, carrying the axis over degenerate samples.
 

@@ -110,7 +110,7 @@ def analyse_series(values, config: PipelineConfig):
     prior = _make_prior(config.prior_kind, config.sigma_epsilon)
     hazard = bocpd.HazardConfig(config.hazard_p)
     posterior = bocpd.infer_posterior(values, prior, hazard, config.prune_threshold)
-    raw_trace = segmentation.lms_trace(posterior)
+    raw_trace = segmentation.lms_estimate(posterior)
     post_trace = segmentation.postprocess_runlength(raw_trace)
     detection_trace = post_trace if config.postprocess else raw_trace
     events = segmentation.detect_resets(detection_trace, config.log_threshold)

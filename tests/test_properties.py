@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kinseg.bocpd import HazardConfig, infer_posterior, informative_prior, noninformative_prior
-from kinseg.kinematics import (
-    adr_embed,
-    adr_invert,
-    axis_angle_to_quaternion,
-    quaternion_to_axis_angle,
-)
+from kinseg.kinematics import adr_embed, adr_invert, axis_angle_to_quaternion
+from util_data import axis_angle_of
 
 finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 series = st.integers(0, 25).flatmap(lambda t: arrays(np.float64, (t, 3), elements=finite))
@@ -40,7 +36,7 @@ def test_exact_recursion_invariants(values, p, informative):
 @given(q=arrays(np.float64, 4, elements=unit).filter(lambda q: np.linalg.norm(q) > 0.1))
 def test_quaternion_axis_angle_round_trip(q):
     q = q / np.linalg.norm(q)
-    axis, angle = quaternion_to_axis_angle(q)
+    axis, angle = axis_angle_of(q)
     back = axis_angle_to_quaternion(axis, angle)
     # q and -q are one rotation
     assert min(np.abs(back - q).max(), np.abs(back + q).max()) < 1e-6

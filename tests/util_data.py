@@ -5,7 +5,14 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from kinseg.bocpd import NormalWishartParams
+from kinseg.bocpd import NormalWishartParams, RunLengthPosterior
+from kinseg.kinematics import quaternion_series_to_axis_angle
+
+
+def axis_angle_of(q):
+    """One quaternion through the series converter: (axis, angle)."""
+    axes, angles = quaternion_series_to_axis_angle([q])
+    return axes[0], float(angles[0])
 
 
 def random_surface_points(rng, n):
@@ -163,7 +170,7 @@ class ReferenceHypothesisSet:
         self.log_weights = log_weights
 
     @classmethod
-    def initial(cls, prior):
+    def time_zero(cls, prior):
         d = prior.dim
         return cls(prior, np.array([0], dtype=int), np.array([0.0]), np.zeros((1, d)),
                    np.zeros((1, d, d)), np.array([0.0]))
@@ -238,7 +245,7 @@ def reference_columns(values, prior, hazard, prune_threshold=None):
     hypotheses live after each step (before pruning), starting with the
     time-zero column."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    hyps = ReferenceHypothesisSet.initial(prior)
+    hyps = ReferenceHypothesisSet.time_zero(prior)
     yield hyps.run_lengths, np.exp(hyps.log_weights)
     for o in values:
         hyps = reference_step(hyps, o, hazard)
@@ -247,7 +254,16 @@ def reference_columns(values, prior, hazard, prune_threshold=None):
             hyps = hyps.pruned(prune_threshold)
 
 
-def dense_run_inference(values, prior, hazard, prune_threshold=None):
+def column_posterior(columns):
+    """A ``RunLengthPosterior`` from one (run lengths, weights) pair per column."""
+    run_lengths = [np.asarray(r, dtype=int) for r, _ in columns]
+    weights = [np.asarray(w, dtype=float) for _, w in columns]
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in run_lengths])))
+    return RunLengthPosterior(len(columns), indptr, np.concatenate(run_lengths),
+                              np.concatenate(weights))
+
+
+def dense_reference_posterior(values, prior, hazard, prune_threshold=None):
     """Reference recursion: fill every column of a dense (T+1)^2 matrix
     with the weights of the hypotheses live after each step."""
     T = len(np.atleast_2d(np.asarray(values, dtype=float)))
