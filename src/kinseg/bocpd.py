@@ -15,6 +15,19 @@ empty, so every segment is scored sequentially from the raw prior.
 ``brute_force_posterior`` enumerates all changepoint configurations
 directly from that definition and serves as the exactness oracle for
 the recursion.
+
+Because a predictive never depends on the weights (Adams & MacKay 2007),
+``infer_posterior`` runs the recursion in blocks of steps. The data half
+(``HypothesisSet.score``) advances the statistics of the hypotheses live
+at the block's start, and of those the block will give birth to,
+through all of its observations into a (step, hypothesis) grid, and
+scores every cell with one Student-t pass. The weight half (``step``)
+is the only per-step loop: it gathers its step's scores for the live
+hypotheses, normalises, adds the newborn and hands over to pruning. A
+block holds at most ``_BLOCK_CELLS`` cells, so its length adapts to the
+live count. Every cell gets the arithmetic the step-at-a-time recursion
+would give it, so the block length changes no bit of the posterior, and
+a step raises exactly the errors it would raise on its own.
 """
 
 from __future__ import annotations
@@ -141,21 +154,23 @@ def nw_posterior_params(prior: NormalWishartParams, window) -> NormalWishartPara
     return NormalWishartParams(mu_n, kappa_n, prior.nu + n, sigma_n)
 
 
-def _log_student_t(scale: np.ndarray, diff: np.ndarray, df, half, const) -> np.ndarray:
-    """Multivariate Student-t log density, one column per density.
+def _log_student_t(scale: np.ndarray, diff: np.ndarray, df, half, const):
+    """Multivariate Student-t log densities and which scales are not
+    positive definite, one density per trailing index.
 
     ``scale`` holds each symmetric scale matrix S as its upper triangle in
-    ``np.triu_indices`` order, ``diff`` the observation x minus the
-    location, and ``half, const`` come from ``_student_t_terms(df, d)``.
-    Every dimension takes one route: S = U^T U is factored one packed
-    entry at a time, each a numpy operation over all columns. Pivot j is
-    S_jj - sum_k<j U_kj^2 and must be positive, or the scale is not
-    positive definite and ``LinAlgError`` is raised; U_ji = (S_ji - sum_k<j
-    U_kj U_ki) / sqrt(pivot j) and y_j = (x_j - sum_k<j U_kj y_k) /
-    sqrt(pivot j). Then log det S is the sum of the log pivots and the
-    Mahalanobis form is |y|^2. No inverse, determinant expansion or LAPACK
-    call: the factor stays accurate on the nearly singular scales the
-    noninformative prior gives short or collinear windows.
+    ``np.triu_indices`` order along the first axis, ``diff`` the observation
+    x minus the location, and ``half, const`` come from
+    ``_student_t_terms(df, d)``. Every dimension takes one route: S = U^T U
+    is factored one packed entry at a time, each a numpy operation over all
+    densities. Pivot j is S_jj - sum_k<j U_kj^2; U_ji = (S_ji - sum_k<j U_kj
+    U_ki) / sqrt(pivot j) and y_j = (x_j - sum_k<j U_kj y_k) / sqrt(pivot
+    j). Then log det S is the sum of the log pivots and the Mahalanobis
+    form is |y|^2. No inverse, determinant expansion or LAPACK call: the
+    factor stays accurate on the nearly singular scales the noninformative
+    prior gives short or collinear windows. A scale with a pivot at or
+    below 0 is not positive definite; the caller raises ``LinAlgError``
+    for the densities it uses.
     """
     d = diff.shape[0]
     factor, pivots, white = {}, np.empty_like(diff), np.empty_like(diff)
@@ -176,12 +191,14 @@ def _log_student_t(scale: np.ndarray, diff: np.ndarray, df, half, const) -> np.n
                     s = s - factor[k, j] * factor[k, i]
                 factor[j, i] = s / root
             row += d - j
-        # fmin skips NaN, so NaN scales pass the check as they always did
-        if np.fmin.reduce(pivots, axis=None) <= 0.0:
-            raise np.linalg.LinAlgError("predictive scale matrix is not positive definite")
         logdet = np.log(pivots).sum(axis=0)
         maha = (white * white).sum(axis=0)
-    return const - 0.5 * logdet - half * np.log1p(maha / df)
+    # fmin skips NaN, so NaN scales pass the check as they always did
+    return const - 0.5 * logdet - half * np.log1p(maha / df), np.fmin.reduce(pivots) <= 0.0
+
+
+def _not_positive_definite() -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError("predictive scale matrix is not positive definite")
 
 
 def _student_t_terms(df, d: int):
@@ -212,8 +229,11 @@ def log_predictive(o, params: NormalWishartParams) -> float:
     df = np.array([df])
     half, const = _student_t_terms(df, params.dim)
     upper = np.triu_indices(params.dim)
-    return float(_log_student_t(scale[upper][:, None], (o - params.mu)[:, None],
-                                df, half, const)[0])
+    log_density, not_pd = _log_student_t(scale[upper][:, None], (o - params.mu)[:, None],
+                                         df, half, const)
+    if not_pd[0]:
+        raise _not_positive_definite()
+    return float(log_density[0])
 
 
 def _count_table(prior: NormalWishartParams, size: int) -> np.ndarray:
@@ -234,8 +254,24 @@ def _count_table(prior: NormalWishartParams, size: int) -> np.ndarray:
                      prior.kappa * n / kappa_n, n / np1, np1, half, const])
 
 
+# Cells (steps x hypothesis columns) of one scored block. It keeps the
+# block's grids and Student-t temporaries under a megabyte each however
+# many hypotheses are live: blocks are long on the pruned path and short
+# on the exact one. A smaller budget leaves exact-path blocks too short to
+# pay for their fixed cost; a larger one spends more on the cells of
+# hypotheses not yet born or already pruned.
+_BLOCK_CELLS = 8192
+
+
+def _block_steps(live: int) -> int:
+    """Steps b of the next block: the most with b (live + b) cells within
+    ``_BLOCK_CELLS``, and at least one."""
+    return max(1, int((math.sqrt(live * live + 4 * _BLOCK_CELLS) - live) / 2))
+
+
 class HypothesisSet:
-    """Run-length hypotheses with per-hypothesis sufficient statistics.
+    """Run-length hypotheses, their sufficient statistics and their scored
+    predictives.
 
     The hypothesis with run length z carries exactly the last z
     observations as running (mean, centred scatter) statistics, so its
@@ -246,125 +282,140 @@ class HypothesisSet:
     representation would leak cancellation error into near-singular
     predictive matrices.
 
-    Hypotheses are columns, newest (shortest run) first: ``run_lengths``
-    (h,), ``means`` (d, h), ``scatters`` (d(d+1)/2, h), each scatter
-    matrix as its upper triangle in ``np.triu_indices`` order, and
+    Hypotheses are listed newest (shortest run) first: ``run_lengths``
+    (h,), ``means`` (d, h), ``scatters`` (d(d+1)/2, h), each scatter matrix
+    as its upper triangle in ``np.triu_indices`` order, and
     ``log_weights`` (h,), the normalised log run-length posterior of the
-    current step. They are views of the tail of preallocated buffers: a
-    step updates them in place and prepends the newborn hypothesis, a full
-    buffer doubles its capacity, and pruning moves the kept hypotheses to
-    the tail. Everything of a predictive but its data term depends only on
-    the count and is read from a table (``_count_table``) that doubles
-    when a longer run appears.
+    current step. ``score(block)`` is the data half of the next steps: it
+    advances the statistics of every hypothesis live now or born in the
+    block through the block and scores every (step, hypothesis) cell with
+    one Student-t pass. ``step`` is the weight half and reads one row of
+    those scores per step; ``prune`` drops hypotheses. Everything of a
+    predictive but its data term depends only on the count and is read
+    from a table (``_count_table``) that doubles when a longer run appears.
     """
-
-    _INITIAL_CAPACITY = 16
 
     def __init__(self, prior: NormalWishartParams):
         """The time-zero state: run length zero with certainty, no data."""
         d = prior.dim
         self.prior = prior
         self._upper = np.triu_indices(d)
-        self._prior_mu = prior.mu[:, None]
-        self._prior_kappa_mu = (prior.kappa * prior.mu)[:, None]
-        self._prior_sigma = prior.sigma[self._upper][:, None]
-        cap = self._INITIAL_CAPACITY
-        self._table = _count_table(prior, cap)
-        self._state = (np.zeros(cap, dtype=int), np.zeros((d, cap)),
-                       np.zeros((len(self._upper[0]), cap)), np.zeros(cap))
-        self._start = cap - 1
+        self._prior_mu = prior.mu[:, None, None]
+        self._prior_kappa_mu = (prior.kappa * prior.mu)[:, None, None]
+        self._prior_sigma = prior.sigma[self._upper][:, None, None]
+        self._table = _count_table(prior, 16)
+        # The scored block. Columns are the b hypotheses born in it, newest
+        # first, then the h live when it was scored; ``_counts`` (b+1, b+h),
+        # ``_means`` (d, b+1, b+h) and ``_scatters`` (d, d, b+1, b+h) hold
+        # each column's count and statistics before each of the b steps and
+        # after the last, ``_log_pred`` (b, b+h) the log predictives, and
+        # ``_not_pd`` the cells whose scale is not positive definite (None
+        # when there are none). ``_row`` is the next step.
+        self._counts = np.zeros((1, 1), dtype=int)
+        self._means = np.zeros((d, 1, 1))
+        self._scatters = np.zeros((d, d, 1, 1))
+        self._log_pred, self._not_pd, self._row = np.empty((0, 1)), None, 0
+        # per live hypothesis: block column and log weight
+        self._state = (np.zeros(1, dtype=int), np.zeros(1))
 
     def __len__(self) -> int:
-        return len(self._state[0]) - self._start
+        return len(self._state[0])
 
     @property
     def run_lengths(self) -> np.ndarray:
-        return self._state[0][self._start:]
+        return self._counts[self._row, self._state[0]]
 
     @property
     def means(self) -> np.ndarray:
-        return self._state[1][:, self._start:]
+        return self._means[:, self._row, self._state[0]]
 
     @property
     def scatters(self) -> np.ndarray:
-        return self._state[2][:, self._start:]
+        i, j = self._upper
+        return self._scatters[i, j, self._row][:, self._state[0]]
 
     @property
     def log_weights(self) -> np.ndarray:
-        return self._state[3][self._start:]
+        return self._state[1]
 
-    def _count_terms(self) -> np.ndarray:
-        """The count table's columns for the live hypotheses; the table
-        doubles when the longest run outgrows it."""
-        run_lengths = self.run_lengths
-        longest = int(run_lengths[-1])
+    def score(self, block) -> None:
+        """Score the next ``len(block)`` observations (the data half).
+
+        A predictive depends only on its hypothesis's window, never on the
+        weights, so every live hypothesis and every one the block will
+        give birth to is advanced through the whole block first. Each step
+        does the centred updates of the per-step recursion on the columns
+        born by then (an unborn column stays empty, with count 0), and one
+        Student-t pass then scores every cell. Cells of unborn, and later
+        of pruned, hypotheses are scored but never read, so the pass runs
+        with floating-point warnings off; ``step`` checks the scales of the
+        cells it reads.
+        """
+        block = np.asarray(block, dtype=float)
+        run_lengths, log_weights, b = self.run_lengths, self.log_weights, len(block)
+        h = len(run_lengths)
+        counts = np.concatenate((np.arange(-b, 0), run_lengths)) + np.arange(b + 1)[:, None]
+        np.maximum(counts, 0, out=counts)
+        longest = counts[-2, -1]
         if longest >= self._table.shape[1]:
             self._table = _count_table(self.prior, 2 * (longest + 1))
-        return self._table[:, run_lengths]
+        terms = self._table.take(counts[:b], axis=1)
+        ratio, np1 = terms[5:7]  # n / (n + 1) and n + 1
+        d, columns = len(self._means), self._state[0]
+        means, scatters = np.zeros((d, b + 1, b + h)), np.zeros((d, d, b + 1, b + h))
+        means[:, 0, b:] = self._means[:, self._row, columns]
+        scatters[:, :, 0, b:] = self._scatters[:, :, self._row, columns]
+        with np.errstate(all="ignore"):
+            for r, o in enumerate(block):
+                born = slice(b - r, None)
+                mean = means[:, r, born]
+                delta = o[:, None] - mean
+                np.add(mean, delta / np1[r, born], out=means[:, r + 1, born])
+                # the whole outer product: no gather of the upper entries
+                np.add(scatters[:, :, r, born], ratio[r, born] * (delta[:, None] * delta),
+                       out=scatters[:, :, r + 1, born])
+            n, kappa_n, df, coef, coeff, _, _, half, const = terms
+            mean = means[:, :b]
+            diff = block.T[:, :, None] - (self._prior_kappa_mu + n * mean) / kappa_n
+            dm = self._prior_mu - mean
+            i, j = self._upper
+            sigma_n = self._prior_sigma + scatters[i, j, :b] + coeff * (dm[i] * dm[j])
+            log_pred, not_pd = _log_student_t(sigma_n * coef, diff, df, half, const)
+        self._counts, self._means, self._scatters, self._log_pred = counts, means, scatters, log_pred
+        self._not_pd = not_pd if not_pd.any() else None
+        self._row = 0
+        self._state = (np.arange(b, b + h), log_weights)
 
-    def _log_predictives(self, o: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        n, kappa_n, df, coef, coeff, _, _, half, const = counts
-        means = self.means
-        diff = o - (self._prior_kappa_mu + n * means) / kappa_n
-        dm = self._prior_mu - means
-        i, j = self._upper
-        sigma_n = self._prior_sigma + self.scatters + coeff * (dm[i] * dm[j])
-        return _log_student_t(sigma_n * coef, diff, df, half, const)
+    def _log_predictives(self, o) -> np.ndarray:
+        """The live hypotheses' log predictives of the next observation
+        ``o``: their cells of the scored block, which is ``o`` scored as a
+        block of one when the set has no scored step left."""
+        if self._row == len(self._log_pred):
+            self.score(np.reshape(o, (1, -1)))
+        row, columns = self._row, self._state[0]
+        if self._not_pd is not None and self._not_pd[row, columns].any():
+            raise _not_positive_definite()
+        return self._log_pred[row, columns]
 
-    def log_predictives(self, o) -> np.ndarray:
-        """Log predictive density of ``o`` under every hypothesis."""
-        o = np.asarray(o, dtype=float).reshape(-1, 1)
-        return self._log_predictives(o, self._count_terms())
-
-    def _grow(self, o: np.ndarray, counts: np.ndarray, log_weights: np.ndarray,
-              newborn_log_weight: float) -> None:
-        """Every hypothesis absorbs ``o`` (centred updates) and takes its new
-        log weight; then an empty newborn hypothesis goes in front."""
-        run_lengths, means, scatters, weights = self._state
-        s = self._start
-        delta = o - means[:, s:]
-        ratio, np1 = counts[5:7]  # n / (n + 1) and n + 1
-        means[:, s:] += delta / np1
-        i, j = self._upper
-        scatters[:, s:] += ratio * (delta[i] * delta[j])
-        run_lengths[s:] += 1
-        weights[s:] = log_weights
-        if s == 0:
-            self._regrow()
-            run_lengths, means, scatters, weights = self._state
-            s = self._start
-        s = self._start = s - 1
-        run_lengths[s] = 0
-        means[:, s] = 0.0
-        scatters[:, s] = 0.0
-        weights[s] = newborn_log_weight
-
-    def _regrow(self) -> None:
-        """Double the capacity; the live hypotheses move to the new tail."""
-        h, cap = len(self), 2 * len(self._state[0])
-        grown = []
-        for buf in self._state:
-            new = np.zeros(buf.shape[:-1] + (cap,), dtype=buf.dtype)
-            new[..., cap - h:] = buf[..., self._start:]
-            grown.append(new)
-        self._state = tuple(grown)
-        self._start = cap - h
+    def _advance(self, log_weights: np.ndarray, newborn_log_weight: float) -> None:
+        """Every hypothesis grows by one and takes its new log weight; then
+        the hypothesis born at this step goes in front."""
+        self._state = (np.concatenate(([len(self._log_pred) - 1 - self._row], self._state[0])),
+                       np.concatenate(([newborn_log_weight], log_weights)))
+        self._row += 1
 
     def prune(self, threshold: float) -> None:
         """Drop hypotheses below ``threshold`` posterior mass and renormalise.
 
         The most probable hypothesis is kept even when it falls below.
         """
-        log_w = self.log_weights
+        columns, log_w = self._state
         keep = log_w >= math.log(threshold)
-        if not keep.any():
-            keep[np.argmax(log_w)] = True
-        kept = np.flatnonzero(keep) + self._start
-        self._start = len(self._state[0]) - len(kept)
-        for buf in self._state:
-            buf[..., self._start:] = buf[..., kept]
-        log_w = self.log_weights
-        log_w -= _logsumexp_1d(log_w)
+        if not keep.all():
+            if not keep.any():
+                keep[np.argmax(log_w)] = True
+            columns, log_w = columns[keep], log_w[keep]
+        self._state = (columns, log_w - _logsumexp_1d(log_w))
 
 
 def step(hypotheses: HypothesisSet, o, hazard: HazardConfig) -> HypothesisSet:
@@ -373,12 +424,14 @@ def step(hypotheses: HypothesisSet, o, hazard: HazardConfig) -> HypothesisSet:
     Every incoming hypothesis grows with factor (1 - p) times its
     predictive for ``o``; a single new zero-run hypothesis aggregates
     p times the predictive over all predecessors. All bookkeeping is in
-    log space with log-sum-exp normalisation. The set is updated in place
-    and returned; a step that raises leaves it unchanged.
+    log space with log-sum-exp normalisation. This is the weight half of
+    the recursion: the predictives come from the block the set has scored
+    (``HypothesisSet.score``), and ``o`` must be that block's next
+    observation; a set with no scored step left scores ``o`` as a block of
+    one. The set is updated in place and returned; a step that raises
+    leaves its hypotheses unchanged.
     """
-    o = np.asarray(o, dtype=float).reshape(-1, 1)
-    counts = hypotheses._count_terms()
-    scored = hypotheses.log_weights + hypotheses._log_predictives(o, counts)
+    scored = hypotheses.log_weights + hypotheses._log_predictives(o)
     # growth and reset masses both scale the same predictive mixture, so
     # the evidence equals log-sum-exp of the scored weights: one reduction
     # normalises the whole step (and the zero-run posterior is exactly p)
@@ -387,7 +440,7 @@ def step(hypotheses: HypothesisSet, o, hazard: HazardConfig) -> HypothesisSet:
         raise FloatingPointError("all run-length hypotheses underflowed")
     scored += math.log1p(-hazard.p)
     scored -= evidence
-    hypotheses._grow(o, counts, scored, evidence + math.log(hazard.p) - evidence)
+    hypotheses._advance(scored, evidence + math.log(hazard.p) - evidence)
     return hypotheses
 
 
@@ -433,17 +486,28 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
     values = getattr(series, "values", series)
     values = np.atleast_2d(np.asarray(values, dtype=float))
     hyps = HypothesisSet(prior)
-    run_lengths, weights = [hyps.run_lengths.copy()], [np.exp(hyps.log_weights)]
-    for o in values:
-        hyps = step(hyps, o, hazard)
-        w = np.exp(hyps.log_weights)
+    run_lengths, weights = [hyps.run_lengths], [np.exp(hyps.log_weights)]
+    stored = [0, 1]  # 0, then the number of weights stored in each column
+    start = 0
+    while start < len(values):
+        block = values[start:start + _block_steps(len(hyps))]
+        start += len(block)
+        hyps.score(block)
+        # the set replaces its weight arrays and never writes into them,
+        # so each step's column can wait for the block's one exp
+        block_columns = []
+        for o in block:
+            hyps = step(hyps, o, hazard)
+            block_columns.append((hyps.run_lengths, hyps.log_weights))
+            if prune_threshold is not None:
+                hyps.prune(prune_threshold)
+        w = np.exp(np.concatenate([log_w for _, log_w in block_columns]))
         nonzero = w > 0.0
-        run_lengths.append(hyps.run_lengths[nonzero])
+        run_lengths.append(np.concatenate([r for r, _ in block_columns])[nonzero])
         weights.append(w[nonzero])
-        if prune_threshold is not None:
-            hyps.prune(prune_threshold)
-    indptr = np.concatenate(([0], np.cumsum([len(w) for w in weights])))
-    return RunLengthPosterior(len(weights), indptr, np.concatenate(run_lengths),
+        offsets = np.cumsum([0] + [len(r) for r, _ in block_columns[:-1]])
+        stored.extend(np.add.reduceat(nonzero, offsets, dtype=int).tolist())
+    return RunLengthPosterior(len(values) + 1, np.cumsum(stored), np.concatenate(run_lengths),
                               np.concatenate(weights))
 
 

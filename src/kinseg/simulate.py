@@ -14,6 +14,7 @@ config, so identical configs produce byte-identical sessions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,20 +153,20 @@ def generate_session(config: SessionConfig) -> LabeledSession:
 
         length = int(rng.integers(config.transition_range[0], config.transition_range[1] + 1))
         burst = np.empty((length, 3))
-        placed: list[np.ndarray] = []
+        # the distance checks run on plain floats: numpy's per-call cost on
+        # 3-vectors dominated session generation
+        mean_xyz, placed = mean.tolist(), []
         for j in range(length):
             candidate = -mean / np.linalg.norm(mean) * _MEAN_RADIUS_RANGE[0]
             for _ in range(_PLACEMENT_ATTEMPTS):
                 direction = rng.standard_normal(3)
                 direction /= np.linalg.norm(direction)
                 candidate = rng.uniform(*_MEAN_RADIUS_RANGE) * direction
-                far_from_posture = np.linalg.norm(candidate - mean) >= _BURST_MIN_TRAVEL
-                spread = all(
-                    np.linalg.norm(candidate - q) >= _BURST_MIN_SPREAD for q in placed
-                )
-                if far_from_posture and spread:
+                xyz = candidate.tolist()
+                if math.dist(xyz, mean_xyz) >= _BURST_MIN_TRAVEL and all(
+                        math.dist(xyz, q) >= _BURST_MIN_SPREAD for q in placed):
                     break
-            placed.append(candidate)
+            placed.append(xyz)
             burst[j] = candidate + 2.0 * sigma * rng.standard_normal(3)
         chunks.append(_clamp_to_shell(burst))
         cursor += length

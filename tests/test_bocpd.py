@@ -320,11 +320,11 @@ class TestRunInference:
         for o in np.vstack([junk, tail]):
             long = step(long, o, hz)
         probe = np.array([0.3, -0.2, 0.9])
-        pred_short = short.log_predictives(probe)
-        pred_long = long.log_predictives(probe)
         for i, count in enumerate(short.run_lengths):
             j = np.flatnonzero(long.run_lengths == count)[0]
-            assert pred_long[j] == pytest.approx(pred_short[i], rel=1e-12)
+            pred_short = log_predictive(probe, hypothesis_params(short, i))
+            pred_long = log_predictive(probe, hypothesis_params(long, j))
+            assert pred_long == pytest.approx(pred_short, rel=1e-12)
 
     def test_monotone_hazard_effect(self):
         vals = random_series(16, n=15)
@@ -630,3 +630,73 @@ class TestKernelPin:
                 step(hyps, [0.3, bad, -0.1], HazardConfig(0.05))
         after = (hyps.run_lengths, hyps.means, hyps.scatters, hyps.log_weights)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def _infer_in_blocks(monkeypatch, block_steps, values, prior, hz, prune):
+    """``infer_posterior`` with the block length rule replaced by
+    ``block_steps`` (None keeps the cell budget), and the block lengths it
+    scored."""
+    if block_steps is not None:
+        monkeypatch.setattr(bocpd, "_block_steps", block_steps)
+    lengths, score = [], HypothesisSet.score
+    monkeypatch.setattr(HypothesisSet, "score",
+                        lambda self, block: (lengths.append(len(block)), score(self, block))[1])
+    try:
+        return infer_posterior(values, prior, hz, prune), lengths
+    finally:
+        monkeypatch.undo()
+
+
+class TestBlocks:
+    """Scoring a block of steps at once keeps every bit of the step-at-a-time
+    recursion, and every error at the step where it arises."""
+
+    @pytest.mark.parametrize("prune", [None, 1e-12], ids=["exact", "pruned"])
+    @pytest.mark.parametrize("prior", [informative_prior, noninformative_prior],
+                             ids=["informative", "noninformative"])
+    def test_block_length_keeps_every_bit(self, monkeypatch, prior, prune):
+        # 293 = 41 * 7 + 6 steps, so no block rule divides the series evenly
+        vals = simulate.generate_session(simulate.SessionConfig(seed=3)).series.values[:293]
+        hz = HazardConfig(0.01)
+        single, lengths = _infer_in_blocks(monkeypatch, lambda live: 1, vals, prior(), hz, prune)
+        assert lengths == [1] * 293
+        for rule in (lambda live: 7, None, lambda live: 10 ** 6):
+            P, lengths = _infer_in_blocks(monkeypatch, rule, vals, prior(), hz, prune)
+            assert sum(lengths) == 293 and max(lengths) > 1
+            assert np.array_equal(P.indptr, single.indptr)
+            assert np.array_equal(P.run_lengths, single.run_lengths)
+            assert P.weights.tobytes() == single.weights.tobytes()
+
+    def test_default_blocks_follow_the_cell_budget(self, monkeypatch):
+        vals = simulate.generate_session(simulate.SessionConfig(seed=3)).series.values[:300]
+        _, exact = _infer_in_blocks(monkeypatch, None, vals, informative_prior(),
+                                    HazardConfig(0.01), None)
+        _, pruned = _infer_in_blocks(monkeypatch, None, vals, informative_prior(),
+                                     HazardConfig(0.01), 1e-12)
+        live = np.cumsum([1] + exact[:-1])  # the exact path keeps every hypothesis
+        assert all(b * (h + b) <= bocpd._BLOCK_CELLS for b, h in zip(exact, live))
+        assert exact[0] > exact[-1] > 1 and len(pruned) < len(exact)
+
+    @pytest.mark.parametrize("prune", [None, 1e-12], ids=["exact", "pruned"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_observation_mid_block(self, monkeypatch, bad, prune):
+        vals = random_series(30, n=40)
+        vals[20, 1] = bad
+        steps, real_step = [], bocpd.step
+        monkeypatch.setattr(bocpd, "step", lambda *args: (steps.append(1), real_step(*args))[1])
+        assert bocpd._block_steps(1) > 40  # one block holds the whole series
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the data half's nan and inf are silent
+            with pytest.raises(FloatingPointError):
+                infer_posterior(vals, informative_prior(), HazardConfig(0.05), prune)
+        assert len(steps) == 21  # raised by the step that scored row 20
+
+    def test_indefinite_scale_in_a_block(self, monkeypatch):
+        prior = NormalWishartParams(np.zeros(3), 1.0, 4.0, np.diag([1.0, -1.0, 1.0]))
+        steps, real_step = [], bocpd.step
+        monkeypatch.setattr(bocpd, "step", lambda *args: (steps.append(1), real_step(*args))[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                infer_posterior(random_series(31, n=30), prior, HazardConfig(0.05))
+        assert len(steps) == 1

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,30 @@ class TestNumericalFailure:
         monkeypatch.setattr(bocpd, "infer_posterior", indefinite)
         rc = run_cli("run", "--input", str(session_dir / "session.csv"), "--out",
                      str(tmp_path / "o"))
+        assert rc == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["indefinite_scale", "non_finite_value"])
+    def test_kernel_failure_mid_block_exit_2(self, session_dir, tmp_path, monkeypatch, capsys,
+                                             fault):
+        # the real block kernel raises; ingest rejects non-finite input, so
+        # the fault is put into the embedding series after it
+        if fault == "indefinite_scale":
+            prior = bocpd.NormalWishartParams(np.zeros(3), 1.0, 4.0, np.diag([1.0, -1.0, 1.0]))
+            monkeypatch.setattr(pipeline, "_make_prior", lambda kind, epsilon: prior)
+        else:
+            infer = bocpd.infer_posterior
+
+            def poisoned(values, *args):
+                values = np.array(values, dtype=float)
+                values[20, 1] = np.inf
+                return infer(values, *args)
+
+            monkeypatch.setattr(bocpd, "infer_posterior", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("run", "--input", str(session_dir / "session.csv"), "--embedding", "adr",
+                         "--decimation", "1", "--out", str(tmp_path / "o"))
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
 
