@@ -115,24 +115,24 @@ def adr_invert(points):
 class EmbeddingSeries:
     """An ordered 3D embedding timeseries with timestamps and provenance.
 
-    ``source`` records how the embedding was produced ("adr" or
-    "external"). Unconstrained series (external embeddings) are exempt
-    from the shell-norm invariant.
+    ``source`` records how the embedding was produced: "adr" series must
+    lie in the [1, 2] shell, "external" embeddings are unconstrained.
     """
 
     values: np.ndarray
     timestamps: np.ndarray
     source: str = "adr"
-    unconstrained: bool = False
 
     def __post_init__(self):
+        if self.source not in ("adr", "external"):
+            raise ValueError(f"unknown embedding source {self.source!r}")
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
         self.timestamps = np.asarray(self.timestamps, dtype=float).ravel()
         if self.values.shape[0] != self.timestamps.shape[0]:
             raise ValueError("values and timestamps must have equal length")
         if len(self.timestamps) > 1 and np.any(np.diff(self.timestamps) <= 0.0):
             raise ValueError("timestamps must be strictly increasing")
-        if not self.unconstrained and len(self.values):
+        if self.source == "adr" and len(self.values):
             norms = np.linalg.norm(self.values, axis=-1)
             if np.any((norms < INNER_RADIUS - SHELL_TOL) | (norms > OUTER_RADIUS + SHELL_TOL)):
                 raise ValueError("constrained embedding outside the [1, 2] shell")

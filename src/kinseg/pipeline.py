@@ -3,10 +3,11 @@
 ``run_pipeline`` drives one session from an input file (quaternions,
 axis-angle tuples or precomputed embeddings) through decimation,
 run-length inference, reset detection and segment construction, writing
-all artifacts to an output directory. ``run_variant_sweep`` replays
-seeded simulated sessions under the pipeline variants (embedding source
-paired with its prior, postprocessing on or off) and aggregates the
-evaluation metrics.
+all artifacts to an output directory; ``analyse_series`` is inference
+(``infer_trace``) then decision (``segment_trace``). ``run_variant_sweep``
+replays seeded simulated sessions under the pipeline variants (a prior
+crossed with postprocessing on or off), infers once per prior, segments
+once per variant and aggregates the evaluation metrics.
 """
 
 from __future__ import annotations
@@ -89,35 +90,42 @@ def load_embedding_series(config: PipelineConfig, data) -> kinematics.EmbeddingS
             raise ValueError(
                 "the external embedding source needs a t,o1,o2,o3 input file"
             )
-        series = kinematics.EmbeddingSeries(
-            values, timestamps, source="external", unconstrained=True
-        )
+        series = kinematics.EmbeddingSeries(values, timestamps, source="external")
     return series.decimated(config.decimation)
 
 
-def analyse_series(values, config: PipelineConfig):
-    """Inference and segmentation on an embedding array.
-
-    Returns (posterior, raw trace, postprocessed trace, retained events,
-    segments); the posterior is a ``bocpd.RunLengthPosterior``. The
-    detection trace is the postprocessed one when postprocessing is
-    enabled, otherwise the raw trace. Trace step k
-    reflects the first k observations, so detected events are shifted to
-    the index of the observation that triggered them (step k observes
-    sample k - 1); all emitted indices are 0-based sample indices
-    comparable with ground-truth labels.
-    """
+def infer_trace(values, config: PipelineConfig):
+    """(posterior, raw LMS run-length trace) of an embedding array; only
+    the prior, ``sigma_epsilon``, the hazard and the pruning act here."""
     prior = _make_prior(config.prior_kind, config.sigma_epsilon)
     hazard = bocpd.HazardConfig(config.hazard_p)
     posterior = bocpd.infer_posterior(values, prior, hazard, config.prune_threshold)
-    raw_trace = segmentation.lms_estimate(posterior)
+    return posterior, segmentation.lms_estimate(posterior)
+
+
+def segment_trace(raw_trace, config: PipelineConfig):
+    """(postprocessed trace, retained events, segments) of a raw trace;
+    only the postprocess, ``log_threshold`` and ``min_run`` settings act.
+
+    Detection reads the postprocessed trace when postprocessing is
+    enabled, otherwise the raw one. Trace step k reflects the first k
+    observations, so events are shifted to the observation that triggered
+    them (step k observes sample k - 1): emitted indices are 0-based
+    sample indices comparable with ground-truth labels.
+    """
     post_trace = segmentation.postprocess_runlength(raw_trace)
     detection_trace = post_trace if config.postprocess else raw_trace
     events = segmentation.detect_resets(detection_trace, config.log_threshold)
     retained = segmentation.filter_repetitive_resets(events, config.min_run)
     shifted = [replace(e, index=e.index - 1) for e in retained]
-    segments = segmentation.build_segments(shifted)
-    return posterior, raw_trace, post_trace, shifted, segments
+    return post_trace, shifted, segmentation.build_segments(shifted)
+
+
+def analyse_series(values, config: PipelineConfig):
+    """``infer_trace`` then ``segment_trace``: (posterior, raw trace,
+    postprocessed trace, retained events, segments)."""
+    posterior, raw_trace = infer_trace(values, config)
+    return (posterior, raw_trace, *segment_trace(raw_trace, config))
 
 
 def run_pipeline(config: PipelineConfig, data=None) -> dict:
@@ -169,26 +177,19 @@ def variant_settings(variant: str) -> dict:
     return dict(zip(("embedding_source", "prior_kind", "postprocess"), VARIANTS[variant]))
 
 
-def _evaluate_variant_on_session(session, variant: str, base: PipelineConfig) -> dict:
-    config = replace(base, **variant_settings(variant))
-    *_, segments = analyse_series(session.series.values, config)
-    evaluation = metrics.evaluate_segmentation(segments, session.segments, config.tolerance)
-    return {
-        "variant": variant,
-        "ppv": evaluation.ppv,
-        "se": evaluation.se,
-        "f1": evaluation.f1,
-        "pearson_r": evaluation.pearson,
-    }
-
-
 def _sweep_one_seed(args):
     session_config, variants, base = args
     session = simulate.generate_session(session_config)
-    return [
-        dict(_evaluate_variant_on_session(session, v, base), seed=session_config.seed)
-        for v in variants
-    ]
+    raw_traces, rows = {}, []  # the prior is the one inference setting a variant sets
+    for variant in variants:
+        config = replace(base, **variant_settings(variant))
+        if config.prior_kind not in raw_traces:
+            raw_traces[config.prior_kind] = infer_trace(session.series.values, config)[1]
+        *_, segments = segment_trace(raw_traces[config.prior_kind], config)
+        scores = metrics.evaluate_segmentation(segments, session.segments, config.tolerance)
+        rows.append({"variant": variant, "ppv": scores.ppv, "se": scores.se, "f1": scores.f1,
+                     "pearson_r": scores.pearson, "seed": session_config.seed})
+    return rows
 
 
 def run_variant_sweep(
@@ -201,9 +202,10 @@ def run_variant_sweep(
     """Run the selected variants over seeded sessions and aggregate.
 
     Every variant sees the identical session per seed (the external
-    variants reuse the same embedding values, flagged unconstrained, with
-    the noninformative prior). Returns per-session rows and per-variant
-    means; row order is deterministic regardless of worker scheduling.
+    variants reuse the same embedding values with the noninformative
+    prior), and variants with the same prior share its raw trace. Returns
+    per-session rows and per-variant means; row order is deterministic
+    regardless of worker scheduling.
     """
     variants = tuple(variants)
     for v in variants:

@@ -79,9 +79,7 @@ class LabeledSession:
 
     series: EmbeddingSeries
     segments: list[GroundTruthSegment]
-    changepoints: list[int]
     axis_angle: tuple | None = None  # (timestamps, axes, angles) at full rate
-    config: SessionConfig | None = None
 
 
 def _clamp_to_shell(points: np.ndarray) -> np.ndarray:
@@ -173,13 +171,7 @@ def generate_session(config: SessionConfig) -> LabeledSession:
 
     values = np.vstack(chunks)
     timestamps = np.arange(len(values), dtype=float)
-    series = EmbeddingSeries(values, timestamps, source="adr", unconstrained=False)
-    return LabeledSession(
-        series=series,
-        segments=segments,
-        changepoints=[seg.end for seg in segments],
-        config=config,
-    )
+    return LabeledSession(EmbeddingSeries(values, timestamps, source="adr"), segments)
 
 
 def generate_session_axis_angle(

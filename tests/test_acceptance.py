@@ -5,6 +5,7 @@ per criterion alongside the measured values.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,28 +26,36 @@ def _check_posterior_structure(P, atol=1e-9):
 @pytest.fixture(scope="module")
 def session_batch():
     """The 20 seeded sessions shared by criteria 7 and 8, scored under all
-    four pipeline variants; the best variant's inference is timed."""
+    four pipeline variants as the sweep scores them: inference once per
+    prior, then each variant segments its prior's raw trace. The best
+    variant's generation, inference, decision and scoring are timed."""
     base = pipeline.PipelineConfig(input_path="<simulated>", output_dir="<memory>", decimation=1)
+    priors = dict.fromkeys(prior for _, prior, _ in pipeline.VARIANTS.values())
+    best_prior = pipeline.variant_settings("adr_post")["prior_kind"]
     rows = {variant: [] for variant in pipeline.VARIANTS}
     posteriors_checked = 0
-    best_variant_seconds = 0.0  # generation + inference + scoring of the best variant
+    best_variant_seconds = 0.0  # generation + inference + decision + scoring of the best variant
     for seed in range(1, 21):
         started = time.perf_counter()
         session = simulate.generate_session(simulate.SessionConfig(seed=seed))
         best_variant_seconds += time.perf_counter() - started
-        for variant in pipeline.VARIANTS:
-            settings = pipeline.variant_settings(variant)
-            config = pipeline.PipelineConfig(
-                input_path="<simulated>", output_dir="<memory>", decimation=1, **settings
-            )
+        raw_traces = {}
+        for prior_kind in priors:
+            config = replace(base, prior_kind=prior_kind)
             started = time.perf_counter()
-            posterior, *_ , segments = pipeline.analyse_series(session.series.values, config)
+            posterior, raw_traces[prior_kind] = pipeline.infer_trace(session.series.values, config)
+            if prior_kind == best_prior:
+                best_variant_seconds += time.perf_counter() - started
+                _check_posterior_structure(posterior.toarray())
+                posteriors_checked += 1
+        for variant in pipeline.VARIANTS:
+            config = replace(base, **pipeline.variant_settings(variant))
+            started = time.perf_counter()
+            *_, segments = pipeline.segment_trace(raw_traces[config.prior_kind], config)
             report = metrics.evaluate_segmentation(segments, session.segments, config.tolerance)
             elapsed = time.perf_counter() - started
             if variant == "adr_post":
                 best_variant_seconds += elapsed
-                _check_posterior_structure(posterior.toarray())
-                posteriors_checked += 1
             rows[variant].append(report)
     assert posteriors_checked == 20
     means = {

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -566,22 +567,28 @@ class TestKernelPin:
                             None, WEIGHT_ATOL[informative_prior])
 
     def test_state_through_prune_and_regrow(self):
-        # the live hypotheses outgrow the buffer after pruning has compacted it
+        # blocks of several steps scored ahead, pruned after every step: the
+        # live columns thin out inside a scored grid and the next block
+        # starts from the survivors
         vals = simulate.generate_session(simulate.SessionConfig(seed=3)).series.values[:100]
         prior, hz = informative_prior(), HazardConfig(0.01)
+        atol = WEIGHT_ATOL[informative_prior]
         hyps, ref = HypothesisSet(prior), ReferenceHypothesisSet.time_zero(prior)
-        pruned = regrown_after_prune = False
-        for o in vals:
-            capacity = len(hyps._state[0])
-            hyps, ref = step(hyps, o, hz), reference_step(ref, o, hz)
-            regrown_after_prune |= pruned and len(hyps._state[0]) > capacity
-            _assert_same_state(hyps, ref, WEIGHT_ATOL[informative_prior])
-            live = len(hyps)
-            hyps.prune(1e-12)
-            ref = ref.pruned(1e-12)
-            pruned |= len(hyps) < live
-            _assert_same_state(hyps, ref, WEIGHT_ATOL[informative_prior])
-        assert regrown_after_prune
+        lengths, start, pruned_mid_block = itertools.cycle((5, 12, 1, 30)), 0, False
+        while start < len(vals):
+            block = vals[start:start + next(lengths)]
+            start += len(block)
+            hyps.score(block)
+            _assert_same_state(hyps, ref, atol)
+            for i, o in enumerate(block):
+                hyps, ref = step(hyps, o, hz), reference_step(ref, o, hz)
+                _assert_same_state(hyps, ref, atol)
+                live = len(hyps)
+                hyps.prune(1e-12)
+                ref = ref.pruned(1e-12)
+                pruned_mid_block |= len(hyps) < live and i < len(block) - 1
+                _assert_same_state(hyps, ref, atol)
+        assert pruned_mid_block
 
     def test_prune_keeps_most_probable(self):
         hyps = HypothesisSet(informative_prior())

@@ -179,9 +179,12 @@ class TestEmbeddingSeries:
     def test_rejects_off_shell_when_constrained(self):
         with pytest.raises(ValueError):
             EmbeddingSeries([[5.0, 0.0, 0.0]], [0.0])
+        # only the two known sources exist, so no third one skips the shell check
+        with pytest.raises(ValueError, match="unknown embedding source"):
+            EmbeddingSeries([[5.0, 0.0, 0.0]], [0.0], source="radial")
 
     def test_unconstrained_accepts_any_point(self):
-        series = EmbeddingSeries([[5.0, 0.0, 0.0]], [0.0], source="external", unconstrained=True)
+        series = EmbeddingSeries([[5.0, 0.0, 0.0]], [0.0], source="external")
         assert len(series) == 1
 
     def test_rejects_length_mismatch(self):

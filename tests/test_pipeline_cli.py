@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,17 +331,36 @@ class TestEvalCommand:
 
 
 class TestSweep:
-    def test_degenerate_sweep_matches_run_pipeline(self, tmp_path):
+    @pytest.mark.parametrize("variant", list(pipeline.VARIANTS))
+    def test_degenerate_sweep_matches_run_pipeline(self, tmp_path, variant):
         config = simulate.SessionConfig(seed=31)
         base = PipelineConfig(input_path="<simulated>", output_dir=str(tmp_path), decimation=1)
-        sweep = pipeline.run_variant_sweep(config, [31], base, variants=("adr_post",))
+        sweep = pipeline.run_variant_sweep(config, [31], base, variants=(variant,))
         session = simulate.generate_session(config)
-        *_, segments = pipeline.analyse_series(session.series.values, base)
+        *_, segments = pipeline.analyse_series(
+            session.series.values, replace(base, **pipeline.variant_settings(variant)))
         report = metrics.evaluate_segmentation(segments, session.segments, 3)
         row = sweep["aggregate"][0]
         assert row["sessions"] == 1
-        assert row["mean_f1"] == pytest.approx(report.f1, rel=1e-12)
-        assert row["mean_pearson_r"] == pytest.approx(report.pearson, rel=1e-12)
+        assert (row["mean_ppv"], row["mean_se"]) == (report.ppv, report.se)
+        assert row["mean_f1"] == report.f1
+        assert row["mean_pearson_r"] == report.pearson
+
+    def test_inference_runs_once_per_prior(self, tmp_path, monkeypatch):
+        calls = []
+        infer_posterior = bocpd.infer_posterior
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return infer_posterior(*args, **kwargs)
+
+        monkeypatch.setattr(bocpd, "infer_posterior", counted)
+        config = simulate.SessionConfig(postures=4, replications=1, seed=0)
+        base = PipelineConfig(input_path="<simulated>", output_dir=str(tmp_path), decimation=1)
+        sweep = pipeline.run_variant_sweep(config, [1, 2], base)
+        # four variants, two priors: the _post and _nopost variants share a trace
+        assert len(sweep["sessions"]) == 8
+        assert len(calls) == 4
 
     def test_variant_order_deterministic(self, tmp_path):
         rc = run_cli("sweep", "--out", str(tmp_path), "--sessions", "2",

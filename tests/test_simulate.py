@@ -36,10 +36,6 @@ class TestGenerateSession:
         for seg in session.segments:
             assert 20 <= seg.duration <= 60
 
-    def test_changepoints_are_segment_ends(self):
-        session = generate_session(SessionConfig(seed=5))
-        assert session.changepoints == [s.end for s in session.segments]
-
     def test_segments_tile_inactive_portions(self):
         # segments are disjoint, ordered and separated by 2 or 3 burst samples
         session = generate_session(SessionConfig(seed=6))
