@@ -21,13 +21,19 @@ Because a predictive never depends on the weights (Adams & MacKay 2007),
 (``HypothesisSet.score``) advances the statistics of the hypotheses live
 at the block's start, and of those the block will give birth to,
 through all of its observations into a (step, hypothesis) grid, and
-scores every cell with one Student-t pass. The weight half (``step``)
-is the only per-step loop: it gathers its step's scores for the live
-hypotheses, normalises, adds the newborn and hands over to pruning. A
-block holds at most ``_BLOCK_CELLS`` cells, so its length adapts to the
-live count. Every cell gets the arithmetic the step-at-a-time recursion
-would give it, so the block length changes no bit of the posterior, and
-a step raises exactly the errors it would raise on its own.
+scores every cell with one Student-t pass. Only the means take a loop
+over the block's steps: the scatter increments are one product over the
+grid, and one running sum along the steps adds them in the per-step
+order. The weight half (``step``) is the only per-step loop: it gathers
+its step's scores for the live hypotheses, normalises, writes the
+newborn and the grown hypotheses into the block's preallocated record
+and hands over to pruning; the block's run lengths and weights are read
+from the record once, at its end. A block holds at most
+``_BLOCK_CELLS`` cells and at most max(8, live) steps, so its length
+follows the live count. Every cell gets the arithmetic the
+step-at-a-time recursion would give it, so the block length changes no
+bit of the posterior, and a step raises exactly the errors it would
+raise on its own.
 """
 
 from __future__ import annotations
@@ -42,10 +48,10 @@ from . import tables
 
 def _logsumexp_1d(x: np.ndarray) -> float:
     """Lean log-sum-exp for a 1D array (hot path; scipy's wrapper is slow)."""
-    m = x.max()
+    m = np.maximum.reduce(x)
     if not math.isfinite(m):
         return float(m) if m == -np.inf else float("nan")
-    return float(m + math.log(np.exp(x - m).sum()))
+    return float(m + math.log(np.add.reduce(np.exp(x - m))))
 
 
 @dataclass
@@ -256,17 +262,19 @@ def _count_table(prior: NormalWishartParams, size: int) -> np.ndarray:
 
 # Cells (steps x hypothesis columns) of one scored block. It keeps the
 # block's grids and Student-t temporaries under a megabyte each however
-# many hypotheses are live: blocks are long on the pruned path and short
-# on the exact one. A smaller budget leaves exact-path blocks too short to
-# pay for their fixed cost; a larger one spends more on the cells of
-# hypotheses not yet born or already pruned.
+# many hypotheses are live. A smaller budget leaves exact-path blocks too
+# short to pay for their fixed cost once more than 64 hypotheses are live;
+# below that, ``_block_steps`` holds a block to the live count instead.
 _BLOCK_CELLS = 8192
 
 
 def _block_steps(live: int) -> int:
     """Steps b of the next block: the most with b (live + b) cells within
-    ``_BLOCK_CELLS``, and at least one."""
-    return max(1, int((math.sqrt(live * live + 4 * _BLOCK_CELLS) - live) / 2))
+    ``_BLOCK_CELLS`` and no more than max(8, live), and at least one. The
+    cap keeps the cells of hypotheses unborn at the block's start or pruned
+    before its end, which no step reads, under about half of those scored."""
+    budget = int((math.sqrt(live * live + 4 * _BLOCK_CELLS) - live) / 2)
+    return max(1, min(max(8, live), budget))
 
 
 class HypothesisSet:
@@ -306,15 +314,20 @@ class HypothesisSet:
         self._table = _count_table(prior, 16)
         # The scored block. Columns are the b hypotheses born in it, newest
         # first, then the h live when it was scored; ``_counts`` (b+1, b+h),
-        # ``_means`` (d, b+1, b+h) and ``_scatters`` (d, d, b+1, b+h) hold
-        # each column's count and statistics before each of the b steps and
-        # after the last, ``_log_pred`` (b, b+h) the log predictives, and
+        # ``_means`` (d, b+1, b+h) and ``_scatters`` (d(d+1)/2, b+1, b+h)
+        # hold each column's count and statistics before each of the b steps
+        # and after the last, ``_log_pred`` (b, b+h) the log predictives, and
         # ``_not_pd`` the cells whose scale is not positive definite (None
         # when there are none). ``_row`` is the next step.
         self._counts = np.zeros((1, 1), dtype=int)
         self._means = np.zeros((d, 1, 1))
-        self._scatters = np.zeros((d, d, 1, 1))
+        self._scatters = np.zeros((len(self._upper[0]), 1, 1))
         self._log_pred, self._not_pd, self._row = np.empty((0, 1)), None, 0
+        # The block's steps, one after another: each step's block columns
+        # and log weights, newborn first, and where each step's entries end.
+        # The live state may be views of the last step's entries, so a step
+        # writes only past them and ``prune`` makes new arrays.
+        self._record = (np.zeros(0, dtype=int), np.zeros(0), [0])
         # per live hypothesis: block column and log weight
         self._state = (np.zeros(1, dtype=int), np.zeros(1))
 
@@ -331,8 +344,7 @@ class HypothesisSet:
 
     @property
     def scatters(self) -> np.ndarray:
-        i, j = self._upper
-        return self._scatters[i, j, self._row][:, self._state[0]]
+        return self._scatters[:, self._row, self._state[0]]
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -344,12 +356,15 @@ class HypothesisSet:
         A predictive depends only on its hypothesis's window, never on the
         weights, so every live hypothesis and every one the block will
         give birth to is advanced through the whole block first. Each step
-        does the centred updates of the per-step recursion on the columns
-        born by then (an unborn column stays empty, with count 0), and one
-        Student-t pass then scores every cell. Cells of unborn, and later
-        of pruned, hypotheses are scored but never read, so the pass runs
-        with floating-point warnings off; ``step`` checks the scales of the
-        cells it reads.
+        does the centred mean update of the per-step recursion on the
+        columns born by then (an unborn column stays empty, with count 0
+        and a zero delta) and keeps its deltas; the scatter increments
+        n / (n + 1) (delta delta^T) of all steps are then one product, and
+        one running sum along the steps adds them in the per-step order.
+        One Student-t pass then scores every cell. Cells of unborn, and
+        later of pruned, hypotheses are scored but never read, so the pass
+        runs with floating-point warnings off; ``step`` checks the scales
+        of the cells it reads.
         """
         block = np.asarray(block, dtype=float)
         run_lengths, log_weights, b = self.run_lengths, self.log_weights, len(block)
@@ -361,48 +376,33 @@ class HypothesisSet:
             self._table = _count_table(self.prior, 2 * (longest + 1))
         terms = self._table.take(counts[:b], axis=1)
         ratio, np1 = terms[5:7]  # n / (n + 1) and n + 1
-        d, columns = len(self._means), self._state[0]
-        means, scatters = np.zeros((d, b + 1, b + h)), np.zeros((d, d, b + 1, b + h))
+        d, columns, (i, j) = len(self._means), self._state[0], self._upper
+        means, deltas = np.zeros((d, b + 1, b + h)), np.zeros((d, b, b + h))
         means[:, 0, b:] = self._means[:, self._row, columns]
-        scatters[:, :, 0, b:] = self._scatters[:, :, self._row, columns]
+        # row 0: the scatters before the block; rows 1..b: the increments
+        scatters = np.zeros((len(i), b + 1, b + h))
+        scatters[:, 0, b:] = self._scatters[:, self._row, columns]
         with np.errstate(all="ignore"):
             for r, o in enumerate(block):
                 born = slice(b - r, None)
-                mean = means[:, r, born]
-                delta = o[:, None] - mean
+                mean, delta = means[:, r, born], deltas[:, r, born]
+                np.subtract(o[:, None], mean, out=delta)
                 np.add(mean, delta / np1[r, born], out=means[:, r + 1, born])
-                # the whole outer product: no gather of the upper entries
-                np.add(scatters[:, :, r, born], ratio[r, born] * (delta[:, None] * delta),
-                       out=scatters[:, :, r + 1, born])
+            np.multiply(ratio, deltas[i] * deltas[j], out=scatters[:, 1:])
+            np.add.accumulate(scatters, axis=1, out=scatters)
             n, kappa_n, df, coef, coeff, _, _, half, const = terms
             mean = means[:, :b]
             diff = block.T[:, :, None] - (self._prior_kappa_mu + n * mean) / kappa_n
             dm = self._prior_mu - mean
-            i, j = self._upper
-            sigma_n = self._prior_sigma + scatters[i, j, :b] + coeff * (dm[i] * dm[j])
+            sigma_n = self._prior_sigma + scatters[:, :b] + coeff * (dm[i] * dm[j])
             log_pred, not_pd = _log_student_t(sigma_n * coef, diff, df, half, const)
         self._counts, self._means, self._scatters, self._log_pred = counts, means, scatters, log_pred
         self._not_pd = not_pd if not_pd.any() else None
         self._row = 0
+        # step r holds at most h + r hypotheses and adds one
+        size = b * h + b * (b + 1) // 2
+        self._record = (np.empty(size, dtype=int), np.empty(size), [0])
         self._state = (np.arange(b, b + h), log_weights)
-
-    def _log_predictives(self, o) -> np.ndarray:
-        """The live hypotheses' log predictives of the next observation
-        ``o``: their cells of the scored block, which is ``o`` scored as a
-        block of one when the set has no scored step left."""
-        if self._row == len(self._log_pred):
-            self.score(np.reshape(o, (1, -1)))
-        row, columns = self._row, self._state[0]
-        if self._not_pd is not None and self._not_pd[row, columns].any():
-            raise _not_positive_definite()
-        return self._log_pred[row, columns]
-
-    def _advance(self, log_weights: np.ndarray, newborn_log_weight: float) -> None:
-        """Every hypothesis grows by one and takes its new log weight; then
-        the hypothesis born at this step goes in front."""
-        self._state = (np.concatenate(([len(self._log_pred) - 1 - self._row], self._state[0])),
-                       np.concatenate(([newborn_log_weight], log_weights)))
-        self._row += 1
 
     def prune(self, threshold: float) -> None:
         """Drop hypotheses below ``threshold`` posterior mass and renormalise.
@@ -410,9 +410,10 @@ class HypothesisSet:
         The most probable hypothesis is kept even when it falls below.
         """
         columns, log_w = self._state
-        keep = log_w >= math.log(threshold)
-        if not keep.all():
-            if not keep.any():
+        log_threshold = math.log(threshold)
+        if not np.minimum.reduce(log_w) >= log_threshold:
+            keep = log_w >= log_threshold
+            if not np.logical_or.reduce(keep):
                 keep[np.argmax(log_w)] = True
             columns, log_w = columns[keep], log_w[keep]
         self._state = (columns, log_w - _logsumexp_1d(log_w))
@@ -428,19 +429,34 @@ def step(hypotheses: HypothesisSet, o, hazard: HazardConfig) -> HypothesisSet:
     the recursion: the predictives come from the block the set has scored
     (``HypothesisSet.score``), and ``o`` must be that block's next
     observation; a set with no scored step left scores ``o`` as a block of
-    one. The set is updated in place and returned; a step that raises
+    one. The step's hypotheses, newborn first, go to the block's record,
+    and the set is updated in place and returned; a step that raises
     leaves its hypotheses unchanged.
     """
-    scored = hypotheses.log_weights + hypotheses._log_predictives(o)
+    if hypotheses._row == len(hypotheses._log_pred):
+        hypotheses.score(np.reshape(o, (1, -1)))
+    row, (columns, log_weights) = hypotheses._row, hypotheses._state
+    if hypotheses._not_pd is not None and hypotheses._not_pd[row, columns].any():
+        raise _not_positive_definite()
+    record_columns, record_log_weights, ends = hypotheses._record
+    start, end = ends[-1], ends[-1] + len(columns) + 1
+    scored = record_log_weights[start:end]
+    grown = scored[1:]
+    np.add(log_weights, hypotheses._log_pred[row].take(columns), out=grown)
     # growth and reset masses both scale the same predictive mixture, so
     # the evidence equals log-sum-exp of the scored weights: one reduction
     # normalises the whole step (and the zero-run posterior is exactly p)
-    evidence = _logsumexp_1d(scored)
+    evidence = _logsumexp_1d(grown)
     if not math.isfinite(evidence):
         raise FloatingPointError("all run-length hypotheses underflowed")
-    scored += math.log1p(-hazard.p)
-    scored -= evidence
-    hypotheses._advance(scored, evidence + math.log(hazard.p) - evidence)
+    grown += math.log1p(-hazard.p)
+    grown -= evidence
+    scored[0] = evidence + math.log(hazard.p) - evidence
+    new_columns = record_columns[start:end]
+    new_columns[0] = len(hypotheses._log_pred) - 1 - row
+    new_columns[1:] = columns
+    ends.append(end)
+    hypotheses._state, hypotheses._row = (new_columns, scored), row + 1
     return hypotheses
 
 
@@ -493,20 +509,18 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
         block = values[start:start + _block_steps(len(hyps))]
         start += len(block)
         hyps.score(block)
-        # the set replaces its weight arrays and never writes into them,
-        # so each step's column can wait for the block's one exp
-        block_columns = []
         for o in block:
             hyps = step(hyps, o, hazard)
-            block_columns.append((hyps.run_lengths, hyps.log_weights))
             if prune_threshold is not None:
                 hyps.prune(prune_threshold)
-        w = np.exp(np.concatenate([log_w for _, log_w in block_columns]))
+        # the steps wrote their columns one after another into the record
+        columns, log_weights, ends = hyps._record
+        rows = np.repeat(np.arange(1, len(block) + 1), np.diff(ends))
+        w = np.exp(log_weights[:ends[-1]])
         nonzero = w > 0.0
-        run_lengths.append(np.concatenate([r for r, _ in block_columns])[nonzero])
+        run_lengths.append(hyps._counts[rows, columns[:ends[-1]]][nonzero])
         weights.append(w[nonzero])
-        offsets = np.cumsum([0] + [len(r) for r, _ in block_columns[:-1]])
-        stored.extend(np.add.reduceat(nonzero, offsets, dtype=int).tolist())
+        stored.extend(np.add.reduceat(nonzero, ends[:-1], dtype=int).tolist())
     return RunLengthPosterior(len(values) + 1, np.cumsum(stored), np.concatenate(run_lengths),
                               np.concatenate(weights))
 

@@ -59,8 +59,9 @@ def quaternion_series_to_axis_angle(quats):
     if q.shape[-1] != 4:
         raise ValueError("quaternion series must have four columns")
     norms = np.linalg.norm(q, axis=-1)
-    if np.any(norms < 1e-12):
-        raise ValueError("quaternion series contains a zero quaternion")
+    zero = np.flatnonzero(norms < 1e-12)
+    if zero.size:
+        raise ValueError(f"quaternion series contains a zero quaternion at data row {zero[0] + 1}")
     q = _canonicalize(q / norms[:, None])
     angles = 2.0 * np.arccos(np.clip(q[:, 0], -1.0, 1.0))
     vec = q[:, 1:]
@@ -130,8 +131,10 @@ class EmbeddingSeries:
         self.timestamps = np.asarray(self.timestamps, dtype=float).ravel()
         if self.values.shape[0] != self.timestamps.shape[0]:
             raise ValueError("values and timestamps must have equal length")
-        if len(self.timestamps) > 1 and np.any(np.diff(self.timestamps) <= 0.0):
-            raise ValueError("timestamps must be strictly increasing")
+        repeated = np.flatnonzero(np.diff(self.timestamps) <= 0.0)
+        if repeated.size:
+            raise ValueError("timestamps must be strictly increasing, but data row "
+                             f"{repeated[0] + 2} is not after data row {repeated[0] + 1}")
         if self.source == "adr" and len(self.values):
             norms = np.linalg.norm(self.values, axis=-1)
             if np.any((norms < INNER_RADIUS - SHELL_TOL) | (norms > OUTER_RADIUS + SHELL_TOL)):

@@ -13,7 +13,6 @@ once per variant and aggregates the evaluation metrics.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -214,6 +213,9 @@ def run_variant_sweep(
         (replace(session_config, seed=int(seed)), variants, base) for seed in seeds
     ]
     if workers > 1:
+        # imported here: the pool machinery costs every CLI process ~20 ms to import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_sweep_one_seed, jobs))
     else:

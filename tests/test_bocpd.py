@@ -654,6 +654,17 @@ def _infer_in_blocks(monkeypatch, block_steps, values, prior, hz, prune):
         monkeypatch.undo()
 
 
+def _blocks_and_live(monkeypatch, values, prune):
+    """Default block lengths of ``infer_posterior`` on ``values``, the live
+    count each block starts from, and the live count each step reads."""
+    live, real_step = [], bocpd.step
+    monkeypatch.setattr(bocpd, "step",
+                        lambda hyps, *args: (live.append(len(hyps)), real_step(hyps, *args))[1])
+    _, lengths = _infer_in_blocks(monkeypatch, None, values, informative_prior(),
+                                  HazardConfig(0.01), prune)
+    return lengths, np.take(live, np.cumsum([0] + lengths[:-1])).tolist(), live
+
+
 class TestBlocks:
     """Scoring a block of steps at once keeps every bit of the step-at-a-time
     recursion, and every error at the step where it arises."""
@@ -676,13 +687,25 @@ class TestBlocks:
 
     def test_default_blocks_follow_the_cell_budget(self, monkeypatch):
         vals = simulate.generate_session(simulate.SessionConfig(seed=3)).series.values[:300]
-        _, exact = _infer_in_blocks(monkeypatch, None, vals, informative_prior(),
-                                    HazardConfig(0.01), None)
-        _, pruned = _infer_in_blocks(monkeypatch, None, vals, informative_prior(),
-                                     HazardConfig(0.01), 1e-12)
-        live = np.cumsum([1] + exact[:-1])  # the exact path keeps every hypothesis
-        assert all(b * (h + b) <= bocpd._BLOCK_CELLS for b, h in zip(exact, live))
-        assert exact[0] > exact[-1] > 1 and len(pruned) < len(exact)
+        for prune in (None, 1e-12):
+            lengths, starts, _ = _blocks_and_live(monkeypatch, vals, prune)
+            assert all(b * (h + b) <= bocpd._BLOCK_CELLS and b <= max(8, h)
+                       for b, h in zip(lengths, starts))
+            if prune is None:
+                # exact: the live count sets the length until the budget does
+                assert lengths[:4] == [8, 9, 18, 36] and lengths[-2] < max(lengths)
+            else:
+                assert max(lengths) < 40 and len(lengths) > 10
+
+    def test_scored_cells_stay_near_read_cells(self, monkeypatch):
+        # a block of b steps from h live hypotheses scores b (b + h) cells,
+        # of which each step reads its live ones; the rest belong to
+        # hypotheses not yet born or already pruned. 1.92 here, 4.75 when
+        # pruned-path blocks filled the cell budget.
+        vals = simulate.generate_session(simulate.SessionConfig(seed=3)).series.values[:300]
+        lengths, starts, live = _blocks_and_live(monkeypatch, vals, 1e-12)
+        scored = sum(b * (b + h) for b, h in zip(lengths, starts))
+        assert scored < 2.0 * sum(live)
 
     @pytest.mark.parametrize("prune", [None, 1e-12], ids=["exact", "pruned"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -691,12 +714,16 @@ class TestBlocks:
         vals[20, 1] = bad
         steps, real_step = [], bocpd.step
         monkeypatch.setattr(bocpd, "step", lambda *args: (steps.append(1), real_step(*args))[1])
-        assert bocpd._block_steps(1) > 40  # one block holds the whole series
+        lengths, score = [], HypothesisSet.score
+        monkeypatch.setattr(HypothesisSet, "score",
+                            lambda self, block: (lengths.append(len(block)), score(self, block))[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the data half's nan and inf are silent
             with pytest.raises(FloatingPointError):
                 infer_posterior(vals, informative_prior(), HazardConfig(0.05), prune)
         assert len(steps) == 21  # raised by the step that scored row 20
+        start = sum(lengths[:-1])
+        assert start < 20 < start + lengths[-1] - 1  # inside a block, with rows scored after it
 
     def test_indefinite_scale_in_a_block(self, monkeypatch):
         prior = NormalWishartParams(np.zeros(3), 1.0, 4.0, np.diag([1.0, -1.0, 1.0]))

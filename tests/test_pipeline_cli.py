@@ -171,6 +171,21 @@ class TestRunCommand:
         assert "data row 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("t,qw,qx,qy,qz\n0.0,1.0,0.0,0.0,0.0\n1.0,0.0,0.0,0.0,0.0\n2.0,1.0,0.0,0.0,0.0\n",
+         "zero quaternion at data row 2"),
+        ("t,o1,o2,o3\n0.0,1.5,0.0,0.0\n1.0,1.5,0.0,0.0\n1.0,1.5,0.0,0.0\n",
+         "data row 3 is not after data row 2"),
+    ], ids=["zero_quaternion", "repeated_timestamp"])
+    def test_invalid_row_exit_1_names_the_row(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        rc = run_cli("run", "--input", str(bad), "--decimation", "1", "--out", str(out))
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_input_read_once(self, session_dir, tmp_path, monkeypatch):
         calls = []
         read = kinematics.read_orientation_csv
@@ -430,7 +445,8 @@ class TestSynthgenCommand:
 
 
 class TestImportHygiene:
-    """kinseg never loads scipy: it is a test dependency only."""
+    """kinseg never loads scipy: it is a test dependency only. Importing the
+    CLI loads no process pool either: only ``sweep --workers`` uses one."""
 
     SCRIPT = """
 import json, sys
@@ -458,3 +474,10 @@ print(json.dumps(loaded))
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert loaded == {"import": False, "synthgen": False, "simulate": False,
                           "run_exit": 0, "run": False}
+
+    def test_cli_import_loads_no_process_pool(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, kinseg.cli; print('concurrent.futures.process' in sys.modules)"],
+            env=_cli_env(), capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"

@@ -59,15 +59,19 @@ def monte_carlo_predictive_densities(points, params, n_samples, seed, chunk=200_
             A[:, i, i] = np.sqrt(rng.chisquare(params.nu - i, size=m))
             for j in range(i):
                 A[:, i, j] = rng.standard_normal(m)
-        M = np.einsum("ij,njk->nik", L, A)  # lambda = M M^T
+        M = L @ A  # lambda = M M^T
         # mean | lambda ~ N(mu, (kappa * lambda)^-1): mu + M^-T z / sqrt(kappa)
         z = rng.standard_normal((m, d))
         shift = np.linalg.solve(np.swapaxes(M, 1, 2), z[..., None])[..., 0]
         mean = params.mu + shift / np.sqrt(params.kappa)
         logdet = 2.0 * np.sum(np.log(np.abs(M[:, range(d), range(d)])), axis=1)
-        diff = points[:, None, :] - mean[None, :, :]  # (P, m, d)
-        w = np.einsum("nji,pnj->pni", M, diff)  # M^T diff per point
-        maha = np.einsum("pni,pni->pn", w, w)
+        # maha = |M^T (point - mean)|^2, one (P, m) matrix product per entry
+        # of M^T point, less M^T mean
+        centre = (mean[:, None, :] @ M)[:, 0]
+        maha = 0.0
+        for i in range(d):
+            w = points @ M[:, :, i].T - centre[:, i]
+            maha = maha + w * w
         dens = np.exp(-0.5 * d * np.log(2.0 * np.pi) + 0.5 * logdet[None, :] - 0.5 * maha)
         totals += dens.sum(axis=1)
     return totals / n_samples
