@@ -38,6 +38,7 @@ raise on its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -468,6 +469,8 @@ class RunLengthPosterior:
     ``weights[indptr[k]:indptr[k + 1]]`` at rows
     ``run_lengths[indptr[k]:indptr[k + 1]]``. Every other cell is exactly
     zero, so memory scales with the live hypotheses, not with T².
+    ``layout``, the row layout both dense writers share, is made on first
+    use and kept.
     """
 
     size: int
@@ -478,6 +481,10 @@ class RunLengthPosterior:
     def steps(self) -> np.ndarray:
         """Column (time step) of each stored entry."""
         return np.repeat(np.arange(self.size), np.diff(self.indptr))
+
+    @functools.cached_property
+    def layout(self) -> tables.MatrixLayout:
+        return tables.matrix_layout(self.size, self.run_lengths, self.steps())
 
     def toarray(self) -> np.ndarray:
         """The dense (T+1) x (T+1) matrix, rows indexed by run length and
@@ -582,8 +589,7 @@ def brute_force_posterior(series, prior: NormalWishartParams, hazard: HazardConf
 def posterior_to_csv(posterior: RunLengthPosterior, path) -> None:
     """Dense CSV export of the posterior matrix (rows = run length, columns =
     time), each cell as ``%.9g``."""
-    tables.write_matrix_text(path, posterior.size, posterior.run_lengths, posterior.steps(),
-                             posterior.weights, "%.9g", ",")
+    tables.write_matrix_text(path, posterior.layout, posterior.weights, "%.9g", ",")
 
 
 def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
@@ -597,5 +603,4 @@ def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
     np.maximum.at(row_max, posterior.run_lengths, posterior.weights)
     gray = np.rint(255.0 * (posterior.weights / row_max[posterior.run_lengths])).astype(int)
     n = posterior.size
-    tables.write_matrix_text(path, n, posterior.run_lengths, posterior.steps(), gray, "%d", " ",
-                             f"P2\n{n} {n}\n255\n")
+    tables.write_matrix_text(path, posterior.layout, gray, "%d", " ", f"P2\n{n} {n}\n255\n")

@@ -8,10 +8,12 @@ array is formatted a block of rows at a time with one ``%r`` line
 template; ``csv.writer`` also writes a float as its ``repr`` and quotes
 no ``repr`` of a float, so the bytes are the same. A Cartesian product
 of two float arrays formats each row of each array once. A dense
-matrix with few stored cells is written as text a row at a time, its
-zero stretches as repeated strings. Every file is written to a
-temporary name beside its path and renamed into place, so a failed
-write leaves no partial file. Tables are read back with a
+matrix with few stored cells is written in binary from a row layout of
+its stored cells that callers can keep: zero stretches are slices of
+one zero row, a row with no stored cell is one prebuilt line, and
+lines are gathered into writes of ``WRITE_BYTES`` or more. Every file
+is written to a temporary name beside its path and renamed into place,
+so a failed write leaves no partial file. Tables are read back with a
 header check and a vectorised numeric parse that rejects malformed,
 ragged and non-finite rows with the path. JSON is written with an
 indent of 2, sorted keys and a final newline.
@@ -23,11 +25,14 @@ import csv
 import json
 import os
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 #: Rows of a float array formatted per ``write`` call.
 BLOCK_ROWS = 4096
+#: Bytes of a dense matrix's lines gathered before a ``write`` call.
+WRITE_BYTES = 1 << 18
 
 
 def atomic_write(path, write_fn) -> None:
@@ -102,37 +107,72 @@ def write_product_csv(path, header, left, right, lineterminator="\r\n") -> None:
     _write_table(path, header, lineterminator, write_body)
 
 
-def write_matrix_text(path, n, rows, cols, cells, fmt, sep, header="") -> None:
-    """Write an n x n matrix as text, ``header`` then one line per row.
+class MatrixLayout(NamedTuple):
+    """Where the stored cells of an n x n matrix sit, row by row.
 
-    The stored cells sit at (``rows``, ``cols``), ordered by column,
-    and print as ``fmt % cell``; every other cell prints as 0. Cells are
-    separated by ``sep``. Each stretch of adjacent stored cells in a row
-    is formatted in one go.
+    ``order`` puts the stored cells in row-major order. The stretches of
+    adjacent stored cells in row r are ``row_stretches[r]`` up to
+    ``row_stretches[r + 1]``; stretch s starts at column
+    ``first_cols[s]`` and holds the ordered cells ``bounds[s]`` up to
+    ``bounds[s + 1]``.
     """
+
+    n: int
+    order: np.ndarray
+    row_stretches: list
+    first_cols: list
+    bounds: list
+
+
+def matrix_layout(n, rows, cols) -> MatrixLayout:
+    """The layout of stored cells at (``rows``, ``cols``), ordered by column."""
     order = np.argsort(rows, kind="stable")  # by row, then column
     rows, cols = rows[order], cols[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1] + 1)
     starts = np.flatnonzero(new)
-    row_stretches = np.searchsorted(rows[starts], np.arange(n + 1)).tolist()
-    first_cols = cols[starts].tolist()
-    bounds = np.append(starts, len(rows)).tolist()
+    return MatrixLayout(n, order, np.searchsorted(rows[starts], np.arange(n + 1)).tolist(),
+                        cols[starts].tolist(), np.append(starts, len(rows)).tolist())
+
+
+def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:
+    """Write an n x n matrix as text, ``header`` then one line per row.
+
+    ``cells`` are the stored cells in the order ``layout`` was made
+    from; each prints as ``fmt % cell`` and every other cell as 0.
+    Cells are separated by ``sep``. Each stretch of adjacent stored
+    cells in a row is formatted in one go, each zero stretch is a slice
+    of one zero row, and a row with no stored cell is one prebuilt
+    line. Lines go to the file in binary, gathered into writes of at
+    least ``WRITE_BYTES``.
+    """
+    n, order, row_stretches, first_cols, bounds = layout
     cells = np.asarray(cells)[order].tolist()
-    zero, item = "0" + sep, fmt + sep
+    zeros, item, width = ("0" + sep) * n, fmt + sep, 1 + len(sep)
+    empty = (zeros[:-len(sep)] + "\n").encode()
 
     def write(tmp):
-        with open(tmp, "w") as fh:
-            fh.write(header)
+        with open(tmp, "wb") as fh:
+            pending = [header.encode()]
+            size = len(pending[0])
             for r in range(n):
-                pieces, filled = [], 0
-                for s in range(row_stretches[r], row_stretches[r + 1]):
-                    a, b = bounds[s], bounds[s + 1]
-                    pieces.append(zero * (first_cols[s] - filled))
-                    pieces.append(item * (b - a) % tuple(cells[a:b]))
-                    filled = first_cols[s] + b - a
-                pieces.append(zero * (n - filled))
-                fh.write("".join(pieces)[:-len(sep)] + "\n")
+                if row_stretches[r] == row_stretches[r + 1]:
+                    line = empty
+                else:
+                    pieces, filled = [], 0
+                    for s in range(row_stretches[r], row_stretches[r + 1]):
+                        a, b = bounds[s], bounds[s + 1]
+                        pieces.append(zeros[:(first_cols[s] - filled) * width])
+                        pieces.append(item * (b - a) % tuple(cells[a:b]))
+                        filled = first_cols[s] + b - a
+                    pieces.append(zeros[:(n - filled) * width])
+                    line = ("".join(pieces)[:-len(sep)] + "\n").encode()
+                pending.append(line)
+                size += len(line)
+                if size >= WRITE_BYTES:
+                    fh.write(b"".join(pending))
+                    pending, size = [], 0
+            fh.write(b"".join(pending))
 
     atomic_write(path, write)
 

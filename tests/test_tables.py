@@ -4,6 +4,8 @@ atomic replacement of every file they write.
 ``write_csv`` formats a float array a block of rows at a time and
 ``write_product_csv`` formats each row of its two factors once; both
 must give the bytes ``csv.writer`` gives for the same rows.
+``write_matrix_text`` must give the bytes ``np.savetxt`` gives for the
+dense matrix, however its lines are gathered into writes.
 """
 
 import csv
@@ -122,6 +124,90 @@ class TestProductWriter:
         assert got == b"a,b,c\r\n"
 
 
+def dense_text(dense, fmt, sep, header="") -> bytes:
+    """The bytes of ``np.savetxt`` over every cell of ``dense``, after ``header``."""
+    buf = io.BytesIO()
+    np.savetxt(buf, dense, fmt=fmt, delimiter=sep)
+    return header.encode() + buf.getvalue()
+
+
+def _mask(n, cells):
+    mask = np.zeros((n, n), dtype=bool)
+    for r, c in cells:
+        mask[r, c] = True
+    return mask
+
+
+MASKS = {
+    # empty rows at the top, middle and bottom; a stretch from column 0,
+    # one ending at column n - 1 and a row of three stretches
+    "mixed": _mask(7, [(1, 0), (1, 1), (3, 5), (3, 6), (4, 0), (4, 2), (4, 3), (4, 6),
+                       (5, 6)]),
+    "full": np.ones((4, 4), dtype=bool),
+    "empty": np.zeros((5, 5), dtype=bool),
+    "n1_stored": np.ones((1, 1), dtype=bool),
+    "n1_empty": np.zeros((1, 1), dtype=bool),
+    "upper": np.triu(np.ones((6, 6), dtype=bool)),
+    "random": np.random.default_rng(4).random((17, 17)) < 0.3,
+}
+
+
+class TestMatrixWriter:
+    """``write_matrix_text`` against every cell of the dense matrix."""
+
+    @pytest.mark.parametrize("write_bytes", [1, 3, 64, tables.WRITE_BYTES])
+    @pytest.mark.parametrize("name", list(MASKS))
+    def test_matches_dense_reference(self, tmp_path, monkeypatch, name, write_bytes):
+        monkeypatch.setattr(tables, "WRITE_BYTES", write_bytes)
+        mask = MASKS[name]
+        n = len(mask)
+        cols, rows = np.nonzero(mask.T)  # stored cells ordered by column
+        layout = tables.matrix_layout(n, rows, cols)
+        rng = np.random.default_rng(n)
+        floats = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(-320, 300, len(rows))
+        grays = rng.integers(0, 256, len(rows))  # a stored cell may print as 0
+        header = f"P2\n{n} {n}\n255\n"
+        for cells, fmt, sep, head in ((floats, "%.9g", ",", ""), (grays, "%d", " ", header)):
+            dense = np.zeros((n, n), dtype=cells.dtype)
+            dense[rows, cols] = cells
+            got = written(tmp_path, lambda p: tables.write_matrix_text(p, layout, cells, fmt,
+                                                                      sep, head))
+            assert got == dense_text(dense, fmt, sep, head), fmt
+
+    def test_gathered_writes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        means = rng.uniform(-2.0, 2.0, (20, 3))
+        vals = np.repeat(means, 40, axis=0) + 0.02 * rng.standard_normal((800, 3))
+        P = bocpd.infer_posterior(vals, bocpd.informative_prior(), bocpd.HazardConfig(0.01),
+                                  prune_threshold=1e-12)
+        assert np.mean(np.diff(P.layout.row_stretches) == 0) > 0.8  # mostly empty rows
+        for write in (bocpd.posterior_to_csv, bocpd.posterior_to_pgm):
+            sizes = []
+            monkeypatch.setattr(tables, "open", _spying_open(sizes), raising=False)
+            path = tmp_path / "posterior"
+            write(P, path)
+            file_bytes = path.stat().st_size
+            assert sum(sizes) == file_bytes
+            # not one write per line
+            assert len(sizes) <= file_bytes // tables.WRITE_BYTES + 2 < P.size
+
+
+def _spying_open(sizes):
+    """``open`` whose files append the length of every write to ``sizes``."""
+    def fake_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        real_write = fh.write
+
+        def write(data):
+            sizes.append(len(data))
+            return real_write(data)
+
+        fh.write = write
+        return fh
+
+    return fake_open
+
+
 def _failing_open(fail_after):
     """``open`` whose files raise ENOSPC on the write after ``fail_after``."""
     def fake_open(path, *args, **kwargs):
@@ -161,6 +247,8 @@ class TestAtomicWrites:
         P = bocpd.infer_posterior(np.zeros((3, 3)), bocpd.informative_prior(),
                                   bocpd.HazardConfig(0.01))
         (tmp_path / "posterior.csv").write_bytes(b"old\n")
+        # one line per write, so the failure lands mid-file
+        monkeypatch.setattr(tables, "WRITE_BYTES", 1)
         monkeypatch.setattr(tables, "open", _failing_open(1), raising=False)
         with pytest.raises(OSError):
             bocpd.posterior_to_csv(P, tmp_path / "posterior.csv")

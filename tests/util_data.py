@@ -62,7 +62,11 @@ def monte_carlo_predictive_densities(points, params, n_samples, seed, chunk=200_
         M = L @ A  # lambda = M M^T
         # mean | lambda ~ N(mu, (kappa * lambda)^-1): mu + M^-T z / sqrt(kappa)
         z = rng.standard_normal((m, d))
-        shift = np.linalg.solve(np.swapaxes(M, 1, 2), z[..., None])[..., 0]
+        # M^T is upper triangular: back substitution, M^T[i, j] = M[j, i]
+        shift = np.empty((m, d))
+        for i in reversed(range(d)):
+            rest = (M[:, i + 1:, i] * shift[:, i + 1:]).sum(axis=1)
+            shift[:, i] = (z[:, i] - rest) / M[:, i, i]
         mean = params.mu + shift / np.sqrt(params.kappa)
         logdet = 2.0 * np.sum(np.log(np.abs(M[:, range(d), range(d)])), axis=1)
         # maha = |M^T (point - mean)|^2, one (P, m) matrix product per entry
