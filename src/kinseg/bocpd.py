@@ -28,7 +28,8 @@ order. The weight half (``step``) is the only per-step loop: it gathers
 its step's scores for the live hypotheses, normalises, writes the
 newborn and the grown hypotheses into the block's preallocated record
 and hands over to pruning; the block's run lengths and weights are read
-from the record once, at its end. A block holds at most
+from the record once, at its end, into two output arrays that grow in
+place, so the posterior is never held twice. A block holds at most
 ``_BLOCK_CELLS`` cells and at most max(8, live) steps, so its length
 follows the live count. Every cell gets the arithmetic the
 step-at-a-time recursion would give it, so the block length changes no
@@ -468,9 +469,9 @@ class RunLengthPosterior:
     Column k holds the nonzero posterior weights after k observations:
     ``weights[indptr[k]:indptr[k + 1]]`` at rows
     ``run_lengths[indptr[k]:indptr[k + 1]]``. Every other cell is exactly
-    zero, so memory scales with the live hypotheses, not with T².
-    ``layout``, the row layout both dense writers share, is made on first
-    use and kept.
+    zero, so memory scales with the live hypotheses, not with T²: 16 bytes
+    a stored cell. ``steps`` (1 to 4 bytes a cell) and ``layout`` (8), the
+    row layout both dense writers share, are made on first use and kept.
     """
 
     size: int
@@ -478,19 +479,22 @@ class RunLengthPosterior:
     run_lengths: np.ndarray
     weights: np.ndarray
 
+    @functools.cached_property
     def steps(self) -> np.ndarray:
-        """Column (time step) of each stored entry."""
-        return np.repeat(np.arange(self.size), np.diff(self.indptr))
+        """Column (time step) of each stored entry, in the narrowest
+        unsigned type that holds every step."""
+        return np.repeat(np.arange(self.size, dtype=np.min_scalar_type(self.size)),
+                         np.diff(self.indptr))
 
     @functools.cached_property
     def layout(self) -> tables.MatrixLayout:
-        return tables.matrix_layout(self.size, self.run_lengths, self.steps())
+        return tables.matrix_layout(self.size, self.run_lengths, self.steps)
 
     def toarray(self) -> np.ndarray:
         """The dense (T+1) x (T+1) matrix, rows indexed by run length and
         columns by time step."""
         dense = np.zeros((self.size, self.size))
-        dense[self.run_lengths, self.steps()] = self.weights
+        dense[self.run_lengths, self.steps] = self.weights
         return dense
 
 
@@ -509,7 +513,8 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
     values = getattr(series, "values", series)
     values = np.atleast_2d(np.asarray(values, dtype=float))
     hyps = HypothesisSet(prior)
-    run_lengths, weights = [hyps.run_lengths], [np.exp(hyps.log_weights)]
+    # the outputs grow in place (a realloc), so no copy of them is ever made
+    run_lengths, weights, filled = np.zeros(1, dtype=int), np.ones(1), 1
     stored = [0, 1]  # 0, then the number of weights stored in each column
     start = 0
     while start < len(values):
@@ -525,11 +530,18 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
         rows = np.repeat(np.arange(1, len(block) + 1), np.diff(ends))
         w = np.exp(log_weights[:ends[-1]])
         nonzero = w > 0.0
-        run_lengths.append(hyps._counts[rows, columns[:ends[-1]]][nonzero])
-        weights.append(w[nonzero])
+        kept = np.count_nonzero(nonzero)
+        if filled + kept > len(weights):
+            for out in (run_lengths, weights):
+                out.resize((filled + kept) * 5 // 4, refcheck=False)
+        np.compress(nonzero, hyps._counts[rows, columns[:ends[-1]]],
+                    out=run_lengths[filled:filled + kept])
+        np.compress(nonzero, w, out=weights[filled:filled + kept])
+        filled += kept
         stored.extend(np.add.reduceat(nonzero, ends[:-1], dtype=int).tolist())
-    return RunLengthPosterior(len(values) + 1, np.cumsum(stored), np.concatenate(run_lengths),
-                              np.concatenate(weights))
+    for out in (run_lengths, weights):
+        out.resize(filled, refcheck=False)
+    return RunLengthPosterior(len(values) + 1, np.cumsum(stored), run_lengths, weights)
 
 
 def brute_force_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
@@ -601,6 +613,10 @@ def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
     """
     row_max = np.zeros(posterior.size)
     np.maximum.at(row_max, posterior.run_lengths, posterior.weights)
-    gray = np.rint(255.0 * (posterior.weights / row_max[posterior.run_lengths])).astype(int)
+    # rint(255 (weight / row max)) in place, then one byte per cell
+    gray = row_max[posterior.run_lengths]
+    np.divide(posterior.weights, gray, out=gray)
+    gray *= 255.0
+    gray = np.rint(gray, out=gray).astype(np.uint8)
     n = posterior.size
     tables.write_matrix_text(path, posterior.layout, gray, "%d", " ", f"P2\n{n} {n}\n255\n")

@@ -147,7 +147,9 @@ def _cmd_run(args) -> int:
         labels_path=args.labels,
         **_inference_settings(args),
     )
-    report = pipeline.run_pipeline(config, data)
+    series = pipeline.load_embedding_series(config, data)
+    del data  # the full-rate rows; the run keeps only the decimated series
+    report = pipeline.run_pipeline(config, series)
     n_segments = len(report["segments"])
     line = f"segments={n_segments} out={config.output_dir}"
     if report["metrics"] is not None:

@@ -152,16 +152,16 @@ def decimate(series, factor: int):
 
     Plain sample picking with no anti-alias filter; output length is
     ceil(N / factor). Accepts an EmbeddingSeries (timestamps are decimated
-    alongside) or a bare array.
+    alongside) or a bare array. The kept samples are copied, not views, so
+    the full-rate input can be freed.
     """
     if int(factor) != factor or factor < 1:
         raise ValueError(f"decimation factor must be an integer >= 1, got {factor}")
     factor = int(factor)
     if isinstance(series, EmbeddingSeries):
-        return replace(
-            series, values=series.values[::factor], timestamps=series.timestamps[::factor]
-        )
-    return np.asarray(series)[::factor]
+        return replace(series, values=series.values[::factor].copy(),
+                       timestamps=series.timestamps[::factor].copy())
+    return np.asarray(series)[::factor].copy()
 
 
 def read_orientation_csv(path):

@@ -73,7 +73,8 @@ def _make_prior(kind: str, sigma_epsilon: float) -> bocpd.NormalWishartParams:
 
 def load_embedding_series(config: PipelineConfig, data) -> kinematics.EmbeddingSeries:
     """The decimated embedding series of an input file read by
-    ``kinematics.read_orientation_csv`` into (kind, timestamps, values)."""
+    ``kinematics.read_orientation_csv`` into (kind, timestamps, values).
+    The series holds arrays of its own, none of them views of ``data``."""
     kind, timestamps, values = data
     if config.embedding_source == "adr":
         if kind == "quaternion":
@@ -127,19 +128,18 @@ def analyse_series(values, config: PipelineConfig):
     return (posterior, raw_trace, *segment_trace(raw_trace, config))
 
 
-def run_pipeline(config: PipelineConfig, data=None) -> dict:
+def run_pipeline(config: PipelineConfig, series=None) -> dict:
     """Run one full session and write artifacts into the output directory.
 
     Writes segments.csv, runlength.csv, posterior.csv, posterior.pgm and
     report.json (all atomically, after the computation has succeeded).
     When a labels file is configured the report carries detection and
-    segmentation metrics against it. ``data`` is the input file as
-    ``kinematics.read_orientation_csv`` returns it, for a caller that
-    has already read it; otherwise the file is read here.
+    segmentation metrics against it. ``series`` is the input file's
+    ``load_embedding_series``, for a caller that has already read it;
+    otherwise the file is read here. Only the decimated series is kept.
     """
-    if data is None:
-        data = kinematics.read_orientation_csv(config.input_path)
-    series = load_embedding_series(config, data)
+    if series is None:
+        series = load_embedding_series(config, kinematics.read_orientation_csv(config.input_path))
     ground_truth = (
         metrics.read_labels_csv(config.labels_path) if config.labels_path else None
     )

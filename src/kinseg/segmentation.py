@@ -30,7 +30,7 @@ def lms_estimate(posterior) -> np.ndarray:
     stored (nonzero) weights of each column in one pass. No BLAS call is
     made, so the bits do not depend on the BLAS thread count.
     """
-    return np.bincount(posterior.steps(), weights=posterior.run_lengths * posterior.weights,
+    return np.bincount(posterior.steps, weights=posterior.run_lengths * posterior.weights,
                        minlength=posterior.size)
 
 

@@ -9,9 +9,10 @@ template; ``csv.writer`` also writes a float as its ``repr`` and quotes
 no ``repr`` of a float, so the bytes are the same. A Cartesian product
 of two float arrays formats each row of each array once. A dense
 matrix with few stored cells is written in binary from a row layout of
-its stored cells that callers can keep: zero stretches are slices of
-one zero row, a row with no stored cell is one prebuilt line, and
-lines are gathered into writes of ``WRITE_BYTES`` or more. Every file
+its stored cells that callers can keep (8 bytes a stored cell), one row
+of cells converted to Python scalars at a time: zero stretches are
+slices of one zero row, a row with no stored cell is one prebuilt line,
+and lines are gathered into writes of ``WRITE_BYTES`` or more. Every file
 is written to a temporary name beside its path and renamed into place,
 so a failed write leaves no partial file. Tables are read back with a
 header check and a vectorised numeric parse that rejects malformed,
@@ -110,7 +111,8 @@ def write_product_csv(path, header, left, right, lineterminator="\r\n") -> None:
 class MatrixLayout(NamedTuple):
     """Where the stored cells of an n x n matrix sit, row by row.
 
-    ``order`` puts the stored cells in row-major order. The stretches of
+    ``order`` puts the stored cells in row-major order, 8 bytes a cell;
+    the rest is a few numbers per stretch. The stretches of
     adjacent stored cells in row r are ``row_stretches[r]`` up to
     ``row_stretches[r + 1]``; stretch s starts at column
     ``first_cols[s]`` and holds the ordered cells ``bounds[s]`` up to
@@ -125,14 +127,23 @@ class MatrixLayout(NamedTuple):
 
 
 def matrix_layout(n, rows, cols) -> MatrixLayout:
-    """The layout of stored cells at (``rows``, ``cols``), ordered by column."""
-    order = np.argsort(rows, kind="stable")  # by row, then column
-    rows, cols = rows[order], cols[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1] + 1)
-    starts = np.flatnonzero(new)
-    return MatrixLayout(n, order, np.searchsorted(rows[starts], np.arange(n + 1)).tolist(),
-                        cols[starts].tolist(), np.append(starts, len(rows)).tolist())
+    """The layout of stored cells at (``rows``, ``cols``), ordered by column.
+
+    It is built from one sorted key per cell, 4 bytes while n (n + 1)
+    fits in 31 bits and 8 beyond, beside the order it returns.
+    """
+    # row-major keys of width n + 1: a row's last column and the next row's
+    # first are 2 apart, so a stretch starts where the key does not go up by 1
+    key = np.multiply(rows, n + 1, dtype=np.int32 if n * (n + 1) < 2 ** 31 else np.int64)
+    key += cols
+    order = np.argsort(key)  # keys are distinct, so every sort gives this order
+    key.sort()
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(np.diff(key), 1, out=new[1:])
+    starts = key[new]
+    first_rows, first_cols = np.divmod(starts, n + 1)
+    return MatrixLayout(n, order, np.searchsorted(first_rows, np.arange(n + 1)).tolist(),
+                        first_cols.tolist(), np.append(np.flatnonzero(new), len(key)).tolist())
 
 
 def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:
@@ -140,14 +151,15 @@ def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:
 
     ``cells`` are the stored cells in the order ``layout`` was made
     from; each prints as ``fmt % cell`` and every other cell as 0.
-    Cells are separated by ``sep``. Each stretch of adjacent stored
-    cells in a row is formatted in one go, each zero stretch is a slice
-    of one zero row, and a row with no stored cell is one prebuilt
-    line. Lines go to the file in binary, gathered into writes of at
-    least ``WRITE_BYTES``.
+    Cells are separated by ``sep``. Only one row's cells are Python
+    scalars at a time, so the write adds about one row to memory. Each
+    stretch of adjacent stored cells in a row is formatted in one go,
+    each zero stretch is a slice of one zero row, and a row with no
+    stored cell is one prebuilt line. Lines go to the file in binary,
+    gathered into writes of at least ``WRITE_BYTES``.
     """
     n, order, row_stretches, first_cols, bounds = layout
-    cells = np.asarray(cells)[order].tolist()
+    cells = np.asarray(cells)
     zeros, item, width = ("0" + sep) * n, fmt + sep, 1 + len(sep)
     empty = (zeros[:-len(sep)] + "\n").encode()
 
@@ -159,11 +171,13 @@ def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:
                 if row_stretches[r] == row_stretches[r + 1]:
                     line = empty
                 else:
-                    pieces, filled = [], 0
-                    for s in range(row_stretches[r], row_stretches[r + 1]):
-                        a, b = bounds[s], bounds[s + 1]
+                    first, last = row_stretches[r], row_stretches[r + 1]
+                    start, pieces, filled = bounds[first], [], 0
+                    row = cells[order[start:bounds[last]]].tolist()
+                    for s in range(first, last):
+                        a, b = bounds[s] - start, bounds[s + 1] - start
                         pieces.append(zeros[:(first_cols[s] - filled) * width])
-                        pieces.append(item * (b - a) % tuple(cells[a:b]))
+                        pieces.append(item * (b - a) % tuple(row[a:b]))
                         filled = first_cols[s] + b - a
                     pieces.append(zeros[:(n - filled) * width])
                     line = ("".join(pieces)[:-len(sep)] + "\n").encode()

@@ -11,6 +11,7 @@ dense matrix, however its lines are gathered into writes.
 import csv
 import errno
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -190,6 +191,26 @@ class TestMatrixWriter:
             assert sum(sizes) == file_bytes
             # not one write per line
             assert len(sizes) <= file_bytes // tables.WRITE_BYTES + 2 < P.size
+
+    def test_peak_memory_per_stored_cell(self, tmp_path):
+        # column k stores run lengths 0..min(k, 99), as a pruned posterior
+        # does: 195,050 cells in 100 rows of up to 1,901 cells
+        n = 2000
+        counts = np.minimum(np.arange(n) + 1, 100)
+        cols = np.repeat(np.arange(n), counts)
+        rows = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts, counts)
+        cells = np.random.default_rng(0).random(len(cols))
+        tracemalloc.start()
+        try:
+            layout = tables.matrix_layout(n, rows, cols)
+            tables.write_matrix_text(tmp_path / "m.csv", layout, cells, "%.9g", ",")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the layout's order (8 bytes a cell), its sort key and stretch test
+        # (4 each), the gathered writes and one row as Python floats;
+        # converting every cell at once costs over 32 bytes a cell
+        assert peak < 24 * len(cells), f"{peak / len(cells):.1f} bytes per stored cell"
 
 
 def _spying_open(sizes):

@@ -1,6 +1,8 @@
 """Shared test data helpers."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 from scipy.special import gammaln
@@ -298,3 +300,29 @@ def dense_posterior_pgm(P, path):
     lines += [" ".join(str(v) for v in row) for row in gray]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# Runs the CLI on argv[2:], then writes the process's own peak resident set
+# (VmHWM, in KiB) to the file argv[1].
+_PEAK_CHILD = """
+import sys
+from kinseg.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status") as status, open(sys.argv[1], "w") as out:
+    out.write(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+sys.exit(code)
+"""
+
+
+def cli_peak_mb(args, env, peak_path):
+    """Run ``kinseg.cli`` on ``args`` in a fresh interpreter and return its
+    exit code and its own peak resident set in MB (10^6 bytes).
+
+    The child reads its high-water mark from /proc/self/status as it ends.
+    ``ru_maxrss`` from ``wait4`` would not do: the child is spawned with
+    vfork, so that figure includes this process's own high-water mark.
+    """
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, str(peak_path), *args],
+                          env=env, stdout=subprocess.DEVNULL)
+    with open(peak_path) as fh:
+        return proc.returncode, int(fh.read()) * 1024 / 1e6
