@@ -4,12 +4,10 @@ from .bocpd import (
     HazardConfig,
     NormalWishartParams,
     RunLengthPosterior,
-    brute_force_posterior,
     infer_posterior,
     informative_prior,
     log_predictive,
     noninformative_prior,
-    nw_posterior_params,
     step,
 )
 from .kinematics import (

@@ -11,10 +11,10 @@ run-length posterior column by column.
 A hypothesis with run length z predicts the next observation from
 exactly the last z observations. The observation at a changepoint step
 is scored under the segment it terminates, and the new segment starts
-empty, so every segment is scored sequentially from the raw prior.
-``brute_force_posterior`` enumerates all changepoint configurations
-directly from that definition and serves as the exactness oracle for
-the recursion.
+empty, so every segment is scored sequentially from the raw prior. The
+tests enumerate every changepoint configuration from that definition,
+scoring each segment through ``log_predictive``, as the exactness oracle
+for the recursion.
 
 Because a predictive never depends on the weights (Adams & MacKay 2007),
 ``infer_posterior`` runs the recursion in blocks of steps. The data half
@@ -129,37 +129,6 @@ class HazardConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"changepoint probability must be in (0, 1), got {self.p}")
-
-
-def nw_posterior_params(prior: NormalWishartParams, window) -> NormalWishartParams:
-    """Posterior Normal-Wishart parameters after observing ``window``.
-
-    mu is the precision-weighted mean, kappa and nu grow by the window
-    size, and sigma accumulates the within-window scatter plus the
-    prior-mean shrinkage term. An empty window returns the prior.
-
-    The window mean and scatter are accumulated with centred (one pass,
-    oldest first) updates, the same arithmetic the online hypothesis set
-    uses, so batch and incremental evaluations of one window agree to the
-    last bit even when the prior scale is nearly singular.
-    """
-    obs = np.atleast_2d(np.asarray(window, dtype=float))
-    if obs.size == 0:
-        return prior
-    n = obs.shape[0]
-    d = obs.shape[1]
-    mean = np.zeros(d)
-    scatter = np.zeros((d, d))
-    for i, o in enumerate(obs):
-        delta = o - mean
-        mean = mean + delta / (i + 1.0)
-        scatter = scatter + (i / (i + 1.0)) * np.einsum("i,j->ij", delta, delta)
-    kappa_n = prior.kappa + float(n)
-    mu_n = (prior.kappa * prior.mu + n * mean) / kappa_n
-    dm = prior.mu - mean
-    coeff = prior.kappa * n / kappa_n
-    sigma_n = prior.sigma + scatter + coeff * np.einsum("i,j->ij", dm, dm)
-    return NormalWishartParams(mu_n, kappa_n, prior.nu + n, sigma_n)
 
 
 def _log_student_t(scale: np.ndarray, diff: np.ndarray, df, half, const):
@@ -421,22 +390,22 @@ class HypothesisSet:
         self._state = (columns, log_w - _logsumexp_1d(log_w))
 
 
-def step(hypotheses: HypothesisSet, o, hazard: HazardConfig) -> HypothesisSet:
+def step(hypotheses: HypothesisSet, hazard: HazardConfig) -> HypothesisSet:
     """One inference step: k hypotheses in, k + 1 out, weights normalised.
 
     Every incoming hypothesis grows with factor (1 - p) times its
-    predictive for ``o``; a single new zero-run hypothesis aggregates
-    p times the predictive over all predecessors. All bookkeeping is in
-    log space with log-sum-exp normalisation. This is the weight half of
-    the recursion: the predictives come from the block the set has scored
-    (``HypothesisSet.score``), and ``o`` must be that block's next
-    observation; a set with no scored step left scores ``o`` as a block of
-    one. The step's hypotheses, newborn first, go to the block's record,
-    and the set is updated in place and returned; a step that raises
-    leaves its hypotheses unchanged.
+    predictive for the step's observation; a single new zero-run
+    hypothesis aggregates p times the predictive over all predecessors.
+    All bookkeeping is in log space with log-sum-exp normalisation. This
+    is the weight half of the recursion: it reads the next row of the
+    block the set has scored (``HypothesisSet.score``), which must have a
+    row left. The step's hypotheses, newborn first, go to the block's
+    record, and the set is updated in place and returned before any
+    pruning; a step that raises leaves its hypotheses unchanged.
+    ``infer_posterior`` looks ``step`` up on this module once per
+    observation, so a wrapper put in its place (``perfbench/tracing.py``)
+    sees every step and each step's live count.
     """
-    if hypotheses._row == len(hypotheses._log_pred):
-        hypotheses.score(np.reshape(o, (1, -1)))
     row, (columns, log_weights) = hypotheses._row, hypotheses._state
     if hypotheses._not_pd is not None and hypotheses._not_pd[row, columns].any():
         raise _not_positive_definite()
@@ -521,8 +490,8 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
         block = values[start:start + _block_steps(len(hyps))]
         start += len(block)
         hyps.score(block)
-        for o in block:
-            hyps = step(hyps, o, hazard)
+        for _ in range(len(block)):
+            hyps = step(hyps, hazard)
             if prune_threshold is not None:
                 hyps.prune(prune_threshold)
         # the steps wrote their columns one after another into the record
@@ -542,60 +511,6 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
     for out in (run_lengths, weights):
         out.resize(filled, refcheck=False)
     return RunLengthPosterior(len(values) + 1, np.cumsum(stored), run_lengths, weights)
-
-
-def brute_force_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
-                          max_steps: int = 12) -> np.ndarray:
-    """Run-length posterior by exhaustive changepoint enumeration.
-
-    Every binary configuration of changepoints over steps 1..k is scored
-    as p^(changepoints) * (1-p)^(growths) times the product over its
-    segments of sequential posterior predictives, each segment scored
-    from the raw prior on explicitly materialised windows. A changepoint
-    at step c ends its segment after the observation at c, so segments
-    span (previous changepoint, changepoint]. Only feasible for short
-    series (2^T configurations); this is the test oracle for
-    ``infer_posterior``.
-    """
-    values = getattr(series, "values", series)
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    T = values.shape[0]
-    if T > max_steps:
-        raise ValueError(f"brute force enumeration limited to {max_steps} steps, got {T}")
-    log_p = math.log(hazard.p)
-    log_1mp = math.log1p(-hazard.p)
-
-    # log predictive product of a segment covering observation indices
-    # [a, b) (0-based), each observation scored on the window before it
-    log_segment = {}
-    for a in range(T):
-        acc = 0.0
-        for b in range(a + 1, T + 1):
-            params = nw_posterior_params(prior, values[a:b - 1])
-            acc += log_predictive(values[b - 1], params)
-            log_segment[(a, b)] = acc
-
-    posterior = np.zeros((T + 1, T + 1))
-    posterior[0, 0] = 1.0
-    for k in range(1, T + 1):
-        buckets = [[] for _ in range(k + 1)]
-        for bits in range(2 ** k):
-            cps = [j + 1 for j in range(k) if (bits >> j) & 1]
-            cuts = [0] + cps + ([k] if not cps or cps[-1] != k else [])
-            loglik = sum(
-                log_segment[(cuts[i], cuts[i + 1])]
-                for i in range(len(cuts) - 1)
-                if cuts[i + 1] > cuts[i]
-            )
-            weight = len(cps) * log_p + (k - len(cps)) * log_1mp
-            run = k - (cps[-1] if cps else 0)
-            buckets[run].append(loglik + weight)
-        col = np.full(k + 1, -np.inf)
-        for run, vals in enumerate(buckets):
-            if vals:
-                col[run] = _logsumexp_1d(np.array(vals))
-        posterior[: k + 1, k] = np.exp(col - _logsumexp_1d(col))
-    return posterior
 
 
 def posterior_to_csv(posterior: RunLengthPosterior, path) -> None:

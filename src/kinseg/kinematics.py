@@ -75,13 +75,6 @@ def quaternion_series_to_axis_angle(quats):
     return axes, angles
 
 
-def axis_angle_to_quaternion(axis, angle) -> np.ndarray:
-    """Inverse conversion, (w, i, j, k) with w = cos(angle / 2)."""
-    axis = np.asarray(axis, dtype=float)
-    half = 0.5 * float(angle)
-    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
-
-
 def adr_embed(axes, angles) -> np.ndarray:
     """Embed axis-angle orientations into the radial shell.
 

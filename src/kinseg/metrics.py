@@ -9,6 +9,7 @@ predicted and ground-truth inactivity durations.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,16 +62,17 @@ def match_changepoints(predicted, ground_truth, tolerance: int = 3) -> MatchResu
     Every candidate (prediction, ground-truth end) pair within
     ``tolerance`` samples is considered, nearest pairs first; ties are
     broken in favour of the earlier predicted index. Each prediction and
-    each ground-truth end is used at most once.
+    each ground-truth end is used at most once. A prediction's candidates
+    are the ends within its window, found by bisection on the sorted ends.
     """
     preds = sorted(int(p) for p in predicted)
     gt = sorted(ground_truth, key=lambda s: s.end)
+    ends = [seg.end for seg in gt]
     candidates = []
     for i, p in enumerate(preds):
-        for j, seg in enumerate(gt):
-            dist = abs(p - seg.end)
-            if dist <= tolerance:
-                candidates.append((dist, i, j))
+        for j in range(bisect.bisect_left(ends, p - tolerance),
+                       bisect.bisect_right(ends, p + tolerance)):
+            candidates.append((abs(p - ends[j]), i, j))
     candidates.sort()
     used_pred: set[int] = set()
     used_gt: set[int] = set()
@@ -173,6 +175,15 @@ def evaluate_segmentation(segments, ground_truth, tolerance: int = 3) -> Evaluat
 
 
 def read_labels_csv(path) -> list[GroundTruthSegment]:
-    """Read ground-truth labels written as segment_start,segment_end rows."""
+    """Read ground-truth labels written as segment_start,segment_end rows.
+
+    Every row must be a segment with 0 <= start < end; the first that is
+    not is named with its data row.
+    """
     _, rows = tables.read_csv(path, [LABELS_HEADER], dtype=int)
+    bad = np.flatnonzero((rows[:, 0] < 0) | (rows[:, 1] <= rows[:, 0]))
+    if bad.size:
+        start, end = rows[bad[0]].tolist()
+        raise ValueError(f"{path}: data row {bad[0] + 1} is not a segment with "
+                         f"0 <= start < end: start {start}, end {end}")
     return [GroundTruthSegment(start, end) for start, end in rows.tolist()]

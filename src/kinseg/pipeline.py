@@ -1,13 +1,15 @@
 """End-to-end pipeline: ingest, embed, infer, segment, evaluate.
 
-``run_pipeline`` drives one session from an input file (quaternions,
-axis-angle tuples or precomputed embeddings) through decimation,
-run-length inference, reset detection and segment construction, writing
-all artifacts to an output directory; ``analyse_series`` is inference
-(``infer_trace``) then decision (``segment_trace``). ``run_variant_sweep``
-replays seeded simulated sessions under the pipeline variants (a prior
-crossed with postprocessing on or off), infers once per prior, segments
-once per variant and aggregates the evaluation metrics.
+``load_embedding_series`` embeds and decimates an input file
+(quaternions, axis-angle tuples or precomputed embeddings) read by
+``kinematics.read_orientation_csv``; ``run_pipeline`` drives that series
+through run-length inference, reset detection and segment construction,
+writing all artifacts to an output directory; ``analyse_series`` is
+inference (``infer_trace``) then decision (``segment_trace``).
+``run_variant_sweep`` replays seeded simulated sessions under the
+pipeline variants (a prior crossed with postprocessing on or off),
+infers once per prior, segments once per variant and aggregates the
+evaluation metrics.
 """
 
 from __future__ import annotations
@@ -128,18 +130,15 @@ def analyse_series(values, config: PipelineConfig):
     return (posterior, raw_trace, *segment_trace(raw_trace, config))
 
 
-def run_pipeline(config: PipelineConfig, series=None) -> dict:
+def run_pipeline(config: PipelineConfig, series: kinematics.EmbeddingSeries) -> dict:
     """Run one full session and write artifacts into the output directory.
 
-    Writes segments.csv, runlength.csv, posterior.csv, posterior.pgm and
+    ``series`` is the input file's ``load_embedding_series``. Writes
+    segments.csv, runlength.csv, posterior.csv, posterior.pgm and
     report.json (all atomically, after the computation has succeeded).
     When a labels file is configured the report carries detection and
-    segmentation metrics against it. ``series`` is the input file's
-    ``load_embedding_series``, for a caller that has already read it;
-    otherwise the file is read here. Only the decimated series is kept.
+    segmentation metrics against it.
     """
-    if series is None:
-        series = load_embedding_series(config, kinematics.read_orientation_csv(config.input_path))
     ground_truth = (
         metrics.read_labels_csv(config.labels_path) if config.labels_path else None
     )

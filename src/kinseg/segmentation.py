@@ -140,11 +140,19 @@ def segments_to_csv(segments, path) -> int:
 
 
 def read_segments_csv(path) -> list[Segment]:
-    """Read segments written by ``segments_to_csv``."""
+    """Read segments written by ``segments_to_csv``. A changepoint index
+    must be integral and appear on one row only; a repeat is named with
+    its data row and the row it repeats."""
     _, rows = tables.read_csv(path, [SEGMENTS_HEADER])
     changepoints = rows[:, 0].astype(int)
     if np.any(changepoints != rows[:, 0]):
         raise ValueError(f"{path}: non-integral changepoint index")
+    first_row = {}
+    for row, k in enumerate(changepoints.tolist(), 1):
+        if k in first_row:
+            raise ValueError(f"{path}: data row {row} repeats changepoint {k} "
+                             f"of data row {first_row[k]}")
+        first_row[k] = row
     return [Segment(k, d) for k, d in zip(changepoints.tolist(), rows[:, 1].tolist())]
 
 

@@ -38,6 +38,8 @@ _PLACEMENT_ATTEMPTS = 20_000
 # apart from "settled at a new place" within a sample or two.
 _BURST_MIN_TRAVEL = 2.7
 _BURST_MIN_SPREAD = 1.7
+#: Sample rate of the full-rate axis-angle series, in Hz.
+RATE_HZ = 30.0
 
 
 @dataclass(frozen=True)
@@ -97,14 +99,20 @@ def _clamp_to_shell(points: np.ndarray) -> np.ndarray:
     return pts * (clamped / norms)[..., None]
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1D vector: the value ``np.linalg.norm`` gives
+    (the square root of ``v.dot(v)``) without its per-call overhead."""
+    return math.sqrt(v.dot(v))
+
+
 def _place_means(rng: np.random.Generator, count: int, min_dist: float) -> np.ndarray:
     means: list[np.ndarray] = []
     for _ in range(_PLACEMENT_ATTEMPTS):
         direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
+        direction /= _norm(direction)
         radius = rng.uniform(*_MEAN_RADIUS_RANGE)
         candidate = radius * direction
-        if all(np.linalg.norm(candidate - m) >= min_dist for m in means):
+        if all(_norm(candidate - m) >= min_dist for m in means):
             means.append(candidate)
             if len(means) == count:
                 return np.asarray(means)
@@ -155,10 +163,10 @@ def generate_session(config: SessionConfig) -> LabeledSession:
         # 3-vectors dominated session generation
         mean_xyz, placed = mean.tolist(), []
         for j in range(length):
-            candidate = -mean / np.linalg.norm(mean) * _MEAN_RADIUS_RANGE[0]
+            candidate = -mean / _norm(mean) * _MEAN_RADIUS_RANGE[0]
             for _ in range(_PLACEMENT_ATTEMPTS):
                 direction = rng.standard_normal(3)
-                direction /= np.linalg.norm(direction)
+                direction /= _norm(direction)
                 candidate = rng.uniform(*_MEAN_RADIUS_RANGE) * direction
                 xyz = candidate.tolist()
                 if math.dist(xyz, mean_xyz) >= _BURST_MIN_TRAVEL and all(
@@ -174,10 +182,8 @@ def generate_session(config: SessionConfig) -> LabeledSession:
     return LabeledSession(EmbeddingSeries(values, timestamps, source="adr"), segments)
 
 
-def generate_session_axis_angle(
-    config: SessionConfig, factor: int = 100, rate_hz: float = 30.0
-) -> LabeledSession:
-    """Emit the same session as a full-rate axis-angle series.
+def generate_session_axis_angle(config: SessionConfig, factor: int = 100) -> LabeledSession:
+    """Emit the same session as a full-rate axis-angle series at ``RATE_HZ``.
 
     Sample ``i * factor`` of the raw series inverts exactly to the i-th
     downsampled embedding; intermediate samples interpolate linearly
@@ -196,7 +202,7 @@ def generate_session_axis_angle(
     raw = _clamp_to_shell(raw)
     raw[::factor] = emb  # keep the kept samples bit-exact
     axes, angles = adr_invert(raw)
-    timestamps = np.arange(len(raw), dtype=float) / rate_hz
+    timestamps = np.arange(len(raw), dtype=float) / RATE_HZ
     session.axis_angle = (timestamps, axes, angles)
     return session
 

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from kinseg import bocpd, cli, metrics, pipeline, segmentation, simulate, synthgen
-from util_data import monte_carlo_predictive_densities, random_surface_points
+from util_data import (
+    brute_force_posterior,
+    monte_carlo_predictive_densities,
+    nw_posterior_params,
+    random_surface_points,
+)
 
 
 def _passed(text):
@@ -117,7 +122,7 @@ class TestCriterion3OracleEquivalence:
                 for p in (0.01, 0.1):
                     hazard = bocpd.HazardConfig(p)
                     P = bocpd.infer_posterior(values, prior, hazard).toarray()
-                    B = bocpd.brute_force_posterior(values, prior, hazard)
+                    B = brute_force_posterior(values, prior, hazard)
                     worst = max(worst, float(np.abs(P - B).max()))
                     _check_posterior_structure(P)
         elapsed = time.perf_counter() - started
@@ -145,9 +150,9 @@ class TestCriterion5PredictiveDensityOracle:
         param_sets = []
         for n in (5, 12, 30, 50):
             window = rng.normal([1.2, 0.1, -0.6], 0.3, size=(n, 3))
-            param_sets.append(bocpd.nw_posterior_params(bocpd.informative_prior(), window))
+            param_sets.append(nw_posterior_params(bocpd.informative_prior(), window))
         param_sets.append(
-            bocpd.nw_posterior_params(
+            nw_posterior_params(
                 bocpd.noninformative_prior(), rng.normal([0.4, 0.9, 0.2], 0.5, size=(25, 3))
             )
         )

@@ -10,22 +10,22 @@ from kinseg.bocpd import (
     HazardConfig,
     HypothesisSet,
     NormalWishartParams,
-    brute_force_posterior,
     infer_posterior,
     informative_prior,
     log_predictive,
     noninformative_prior,
-    nw_posterior_params,
     predictive_scale,
     step,
 )
 from util_data import (
     ReferenceHypothesisSet,
+    brute_force_posterior,
     dense_posterior_csv,
     dense_posterior_pgm,
     dense_reference_posterior,
     hypothesis_params,
     monte_carlo_predictive_density,
+    nw_posterior_params,
     reference_columns,
     reference_step,
     two_segment_series,
@@ -35,6 +35,13 @@ from util_data import (
 def random_series(seed, n=10, d=3):
     rng = np.random.default_rng(seed)
     return rng.normal(scale=1.0, size=(n, d))
+
+
+def scored_step(hyps, o, hazard):
+    """One step on observation ``o``: score it as a block of one, then
+    ``step``."""
+    hyps.score(np.reshape(o, (1, -1)))
+    return step(hyps, hazard)
 
 
 # Largest absolute weight difference allowed against the reference kernel,
@@ -114,7 +121,7 @@ class TestPosteriorParams:
             hyps = HypothesisSet(prior)
             hz = HazardConfig(0.05)
             for k in range(1, len(vals) + 1):
-                hyps = step(hyps, vals[k - 1], hz)
+                hyps = scored_step(hyps, vals[k - 1], hz)
                 for i in range(len(hyps)):
                     count = int(hyps.run_lengths[i])
                     window = vals[k - count:k]
@@ -214,7 +221,7 @@ class TestStep:
         # so the posterior is exactly (p, 1 - p)
         for p in (0.01, 0.2):
             hyps = HypothesisSet(informative_prior())
-            out = step(hyps, [1.2, 0.3, -0.4], HazardConfig(p))
+            out = scored_step(hyps, [1.2, 0.3, -0.4], HazardConfig(p))
             col = np.zeros(2)
             col[out.run_lengths] = np.exp(out.log_weights)
             assert col == pytest.approx([p, 1.0 - p], abs=1e-15)
@@ -225,7 +232,7 @@ class TestStep:
         hz = HazardConfig(0.01)
         vals = random_series(4, n=6)
         for k in range(1, 7):
-            hyps = step(hyps, vals[k - 1], hz)
+            hyps = scored_step(hyps, vals[k - 1], hz)
             assert len(hyps) == k + 1
             assert np.array_equal(hyps.run_lengths, np.arange(k + 1))
 
@@ -233,7 +240,7 @@ class TestStep:
         hyps = HypothesisSet(noninformative_prior())
         hz = HazardConfig(0.1)
         for o in random_series(5, n=8):
-            hyps = step(hyps, o, hz)
+            hyps = scored_step(hyps, o, hz)
             assert np.exp(hyps.log_weights).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishing_hazard_concentrates_on_full_run(self):
@@ -246,7 +253,7 @@ class TestStep:
     def test_all_hypotheses_underflow_signalled(self):
         hyps = HypothesisSet(informative_prior())
         with pytest.raises(FloatingPointError):
-            step(hyps, [np.inf, 0.0, 0.0], HazardConfig(0.01))
+            scored_step(hyps, [np.inf, 0.0, 0.0], HazardConfig(0.01))
 
 
 class TestRunInference:
@@ -316,10 +323,10 @@ class TestRunInference:
         junk = 3.0 + random_series(15, n=4)
         short = HypothesisSet(prior)
         for o in tail:
-            short = step(short, o, hz)
+            short = scored_step(short, o, hz)
         long = HypothesisSet(prior)
         for o in np.vstack([junk, tail]):
-            long = step(long, o, hz)
+            long = scored_step(long, o, hz)
         probe = np.array([0.3, -0.2, 0.9])
         for i, count in enumerate(short.run_lengths):
             j = np.flatnonzero(long.run_lengths == count)[0]
@@ -581,7 +588,7 @@ class TestKernelPin:
             hyps.score(block)
             _assert_same_state(hyps, ref, atol)
             for i, o in enumerate(block):
-                hyps, ref = step(hyps, o, hz), reference_step(ref, o, hz)
+                hyps, ref = step(hyps, hz), reference_step(ref, o, hz)
                 _assert_same_state(hyps, ref, atol)
                 live = len(hyps)
                 hyps.prune(1e-12)
@@ -593,7 +600,7 @@ class TestKernelPin:
     def test_prune_keeps_most_probable(self):
         hyps = HypothesisSet(informative_prior())
         for o in random_series(26, n=5):
-            hyps = step(hyps, o, HazardConfig(0.2))
+            hyps = scored_step(hyps, o, HazardConfig(0.2))
         best = hyps.run_lengths[np.argmax(hyps.log_weights)]
         hyps.prune(0.999)
         assert np.array_equal(hyps.run_lengths, [best])
@@ -604,7 +611,7 @@ class TestKernelPin:
         prior, hz = noninformative_prior(), HazardConfig(0.01)
         hyps, ref = HypothesisSet(prior), ReferenceHypothesisSet.time_zero(prior)
         for o in random_series(27, n=70):
-            hyps, ref = step(hyps, o, hz), reference_step(ref, o, hz)
+            hyps, ref = scored_step(hyps, o, hz), reference_step(ref, o, hz)
         _assert_same_state(hyps, ref, WEIGHT_ATOL[noninformative_prior])
 
     @pytest.mark.parametrize("diagonal", [(-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0),
@@ -628,13 +635,13 @@ class TestKernelPin:
     def test_non_finite_observation_raises_and_keeps_state(self, bad):
         hyps = HypothesisSet(informative_prior())
         for o in random_series(28, n=20):
-            hyps = step(hyps, o, HazardConfig(0.05))
+            hyps = scored_step(hyps, o, HazardConfig(0.05))
         before = [a.copy() for a in (hyps.run_lengths, hyps.means, hyps.scatters,
                                      hyps.log_weights)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the quadratic form's nan is silent
             with pytest.raises(FloatingPointError):
-                step(hyps, [0.3, bad, -0.1], HazardConfig(0.05))
+                scored_step(hyps, [0.3, bad, -0.1], HazardConfig(0.05))
         after = (hyps.run_lengths, hyps.means, hyps.scatters, hyps.log_weights)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -734,3 +741,28 @@ class TestBlocks:
             with pytest.raises(np.linalg.LinAlgError):
                 infer_posterior(random_series(31, n=30), prior, HazardConfig(0.05))
         assert len(steps) == 1
+
+
+class TestTracerContract:
+    """``perfbench/tracing.py`` counts steps and live hypotheses by putting a
+    wrapper in place of ``bocpd.step``: ``infer_posterior`` must call it
+    through the module once per observation, and each call must return the
+    set before pruning, so its length is the step's pre-prune live count."""
+
+    def test_step_called_per_observation_with_pre_prune_count(self, monkeypatch):
+        vals = simulate.generate_session(simulate.SessionConfig(seed=3)).series.values[:400]
+        prior, hz, prune = informative_prior(), HazardConfig(0.01), 1e-12
+        returned, real_step = [], bocpd.step
+
+        def counted_step(*args):
+            out = real_step(*args)
+            returned.append(len(out))
+            return out
+
+        monkeypatch.setattr(bocpd, "step", counted_step)
+        infer_posterior(vals, prior, hz, prune)
+        expected = [len(run_lengths) for run_lengths, _ in
+                    reference_columns(vals, prior, hz, prune)][1:]
+        assert returned == expected
+        # pruning dropped hypotheses, so a post-prune count would differ
+        assert any(after < before + 1 for before, after in zip(returned, returned[1:]))

@@ -6,11 +6,10 @@ from kinseg.kinematics import (
     EmbeddingSeries,
     adr_embed,
     adr_invert,
-    axis_angle_to_quaternion,
     decimate,
     quaternion_series_to_axis_angle,
 )
-from util_data import axis_angle_of
+from util_data import axis_angle_of, axis_angle_to_quaternion
 
 
 class TestQuaternionConversion:

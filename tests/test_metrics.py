@@ -16,6 +16,25 @@ def seg(start, end):
     return GroundTruthSegment(start, end)
 
 
+def pair_scan_match(predicted, ground_truth, tolerance):
+    """Reference matcher: every (prediction, ground-truth end) pair is
+    scanned for candidates, nearest first, earlier prediction on ties."""
+    preds = sorted(int(p) for p in predicted)
+    gt = sorted(ground_truth, key=lambda s: s.end)
+    candidates = sorted((abs(p - s.end), i, j) for i, p in enumerate(preds)
+                        for j, s in enumerate(gt) if abs(p - s.end) <= tolerance)
+    used_pred, used_gt, matches = set(), set(), []
+    for _, i, j in candidates:
+        if i not in used_pred and j not in used_gt:
+            used_pred.add(i)
+            used_gt.add(j)
+            matches.append((preds[i], gt[j]))
+    matches.sort(key=lambda pair: pair[0])
+    return metrics.MatchResult(
+        matches, [p for i, p in enumerate(preds) if i not in used_pred],
+        [s for j, s in enumerate(gt) if j not in used_gt])
+
+
 class TestGroundTruthSegment:
     def test_duration(self):
         assert seg(10, 35).duration == 25
@@ -60,6 +79,24 @@ class TestMatching:
         m = match_changepoints([52], [seg(40, 50), seg(51, 53)], tolerance=3)
         assert m.tp == 1
         assert m.matches[0][1].end == 53
+
+    def test_windowed_candidates_match_pair_scan(self):
+        # repeated ends, repeated predictions, tolerance 0 and wide windows
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            ends = rng.integers(1, 40, rng.integers(0, 12))
+            gt = [seg(int(e) - int(rng.integers(1, 5)), int(e)) for e in ends]
+            preds = rng.integers(-5, 45, rng.integers(0, 12)).tolist()
+            tolerance = int(rng.integers(0, 6))
+            assert match_changepoints(preds, gt, tolerance) == pair_scan_match(preds, gt, tolerance)
+
+    def test_windowed_candidates_match_pair_scan_on_a_long_session(self):
+        rng = np.random.default_rng(6)
+        ends = np.cumsum(rng.integers(20, 60, 300))
+        gt = [seg(int(e) - 10, int(e)) for e in ends]
+        preds = (ends + rng.integers(-4, 5, len(ends)))[rng.random(len(ends)) < 0.9].tolist()
+        preds += rng.integers(0, int(ends[-1]), 30).tolist()
+        assert match_changepoints(preds, gt, 3) == pair_scan_match(preds, gt, 3)
 
 
 class TestDetectionMetrics:

@@ -10,11 +10,24 @@ import pytest
 
 from kinseg import bocpd, cli, kinematics, metrics, pipeline, simulate
 from kinseg.pipeline import PipelineConfig
-from util_data import cli_peak_mb
+from util_data import axis_angle_to_quaternion, cli_peak_mb
 
 
 def run_cli(*args):
     return cli.main(list(args))
+
+
+# Labels files with one row that is not a segment, and the data row named.
+BAD_LABELS = pytest.mark.parametrize("rows, bad_row", [
+    ("0,30\n50,45\n60,90\n", 2),
+    ("-5,45\n50,60\n", 1),
+], ids=["end_before_start", "negative_start"])
+
+
+def write_bad_labels(tmp_path, rows):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("segment_start,segment_end\n" + rows)
+    return labels
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +148,7 @@ class TestRunCommand:
         with open(qcsv, "w") as fh:
             fh.write("t,qw,qx,qy,qz\n")
             for t, row in zip(ts, vals):
-                q = kinematics.axis_angle_to_quaternion(row[:3], row[3])
+                q = axis_angle_to_quaternion(row[:3], row[3])
                 fh.write(",".join(repr(float(x)) for x in (t, *q)) + "\n")
         reports = []
         for name, source in (("aa", str(sim_out / "session.csv")), ("q", str(qcsv))):
@@ -185,6 +198,17 @@ class TestRunCommand:
         rc = run_cli("run", "--input", str(bad), "--decimation", "1", "--out", str(out))
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @BAD_LABELS
+    def test_bad_labels_row_exit_1_names_the_row(self, session_dir, tmp_path, capsys, rows,
+                                                 bad_row):
+        labels = write_bad_labels(tmp_path, rows)
+        out = tmp_path / "o"
+        rc = run_cli("run", "--input", str(session_dir / "session.csv"), "--labels", str(labels),
+                     "--out", str(out))
+        assert rc == 1
+        assert f"{labels}: data row {bad_row} is not a segment" in capsys.readouterr().err
         assert not out.exists()
 
     def test_input_read_once(self, session_dir, tmp_path, monkeypatch):
@@ -340,6 +364,29 @@ class TestEvalCommand:
                      str(session_dir / "labels.csv"), "--tolerance", value, "--out", str(out))
         assert rc == 1
         assert "--tolerance must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @BAD_LABELS
+    def test_bad_labels_row_exit_1_names_the_row(self, tmp_path, capsys, rows, bad_row):
+        segments = tmp_path / "segments.csv"
+        segments.write_text("changepoint_idx,duration,start_idx\n30,30,0\n")
+        labels, out = write_bad_labels(tmp_path, rows), tmp_path / "eval.json"
+        rc = run_cli("eval", "--predicted", str(segments), "--labels", str(labels),
+                     "--out", str(out))
+        assert rc == 1
+        assert f"{labels}: data row {bad_row} is not a segment" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_changepoint_exit_1_names_the_row(self, session_dir, tmp_path, capsys):
+        segments = tmp_path / "segments.csv"
+        segments.write_text("changepoint_idx,duration,start_idx\n"
+                            "10,10,0\n30,20,10\n10,5,5\n")
+        out = tmp_path / "eval.json"
+        rc = run_cli("eval", "--predicted", str(segments), "--labels",
+                     str(session_dir / "labels.csv"), "--out", str(out))
+        assert rc == 1
+        assert (f"{segments}: data row 3 repeats changepoint 10 of data row 1"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kinseg.bocpd import HazardConfig, infer_posterior, informative_prior, noninformative_prior
-from kinseg.kinematics import adr_embed, adr_invert, axis_angle_to_quaternion
-from util_data import axis_angle_of
+from kinseg.kinematics import adr_embed, adr_invert
+from util_data import axis_angle_of, axis_angle_to_quaternion
 
 finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 series = st.integers(0, 25).flatmap(lambda t: arrays(np.float64, (t, 3), elements=finite))

@@ -96,7 +96,7 @@ class TestAxisAngleSession:
         assert np.abs(decimated - session.series.values).max() < 1e-9
 
     def test_full_rate_timestamps(self):
-        session = generate_session_axis_angle(SessionConfig(seed=10), factor=10, rate_hz=30.0)
+        session = generate_session_axis_angle(SessionConfig(seed=10), factor=10)
         timestamps, _, _ = session.axis_angle
         assert timestamps[1] - timestamps[0] == pytest.approx(1.0 / 30.0)
 

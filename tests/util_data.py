@@ -7,7 +7,7 @@ import sys
 import numpy as np
 from scipy.special import gammaln
 
-from kinseg.bocpd import NormalWishartParams, RunLengthPosterior
+from kinseg.bocpd import NormalWishartParams, RunLengthPosterior, log_predictive
 from kinseg.kinematics import quaternion_series_to_axis_angle
 
 
@@ -15,6 +15,13 @@ def axis_angle_of(q):
     """One quaternion through the series converter: (axis, angle)."""
     axes, angles = quaternion_series_to_axis_angle([q])
     return axes[0], float(angles[0])
+
+
+def axis_angle_to_quaternion(axis, angle) -> np.ndarray:
+    """Inverse conversion, (w, i, j, k) with w = cos(angle / 2)."""
+    axis = np.asarray(axis, dtype=float)
+    half = 0.5 * float(angle)
+    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
 
 
 def random_surface_points(rng, n):
@@ -248,6 +255,94 @@ def reference_step(hypotheses, o, hazard):
         scatters=np.vstack([np.zeros((1, d, d)), scatters]),
         log_weights=log_joint - evidence,
     )
+
+
+# The exactness oracle: the posterior straight from the definition of the
+# model, every changepoint configuration enumerated and every segment
+# scored from the raw prior on its materialised window through kinseg's
+# ``log_predictive``. The recursion must match it to 1e-9.
+
+def nw_posterior_params(prior: NormalWishartParams, window) -> NormalWishartParams:
+    """Posterior Normal-Wishart parameters after observing ``window``.
+
+    mu is the precision-weighted mean, kappa and nu grow by the window
+    size, and sigma accumulates the within-window scatter plus the
+    prior-mean shrinkage term. An empty window returns the prior.
+
+    The window mean and scatter are accumulated with centred (one pass,
+    oldest first) updates, the same arithmetic the online hypothesis set
+    uses, so batch and incremental evaluations of one window agree to the
+    last bit even when the prior scale is nearly singular.
+    """
+    obs = np.atleast_2d(np.asarray(window, dtype=float))
+    if obs.size == 0:
+        return prior
+    n = obs.shape[0]
+    d = obs.shape[1]
+    mean = np.zeros(d)
+    scatter = np.zeros((d, d))
+    for i, o in enumerate(obs):
+        delta = o - mean
+        mean = mean + delta / (i + 1.0)
+        scatter = scatter + (i / (i + 1.0)) * np.einsum("i,j->ij", delta, delta)
+    kappa_n = prior.kappa + float(n)
+    mu_n = (prior.kappa * prior.mu + n * mean) / kappa_n
+    dm = prior.mu - mean
+    coeff = prior.kappa * n / kappa_n
+    sigma_n = prior.sigma + scatter + coeff * np.einsum("i,j->ij", dm, dm)
+    return NormalWishartParams(mu_n, kappa_n, prior.nu + n, sigma_n)
+
+
+def brute_force_posterior(series, prior, hazard, max_steps=12):
+    """Run-length posterior by exhaustive changepoint enumeration.
+
+    Every binary configuration of changepoints over steps 1..k is scored
+    as p^(changepoints) * (1-p)^(growths) times the product over its
+    segments of sequential posterior predictives, each segment scored
+    from the raw prior on explicitly materialised windows. A changepoint
+    at step c ends its segment after the observation at c, so segments
+    span (previous changepoint, changepoint]. Only feasible for short
+    series (2^T configurations); returns the dense (T+1) x (T+1) matrix.
+    """
+    values = getattr(series, "values", series)
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    T = values.shape[0]
+    if T > max_steps:
+        raise ValueError(f"brute force enumeration limited to {max_steps} steps, got {T}")
+    log_p = math.log(hazard.p)
+    log_1mp = math.log1p(-hazard.p)
+
+    # log predictive product of a segment covering observation indices
+    # [a, b) (0-based), each observation scored on the window before it
+    log_segment = {}
+    for a in range(T):
+        acc = 0.0
+        for b in range(a + 1, T + 1):
+            params = nw_posterior_params(prior, values[a:b - 1])
+            acc += log_predictive(values[b - 1], params)
+            log_segment[(a, b)] = acc
+
+    posterior = np.zeros((T + 1, T + 1))
+    posterior[0, 0] = 1.0
+    for k in range(1, T + 1):
+        buckets = [[] for _ in range(k + 1)]
+        for bits in range(2 ** k):
+            cps = [j + 1 for j in range(k) if (bits >> j) & 1]
+            cuts = [0] + cps + ([k] if not cps or cps[-1] != k else [])
+            loglik = sum(
+                log_segment[(cuts[i], cuts[i + 1])]
+                for i in range(len(cuts) - 1)
+                if cuts[i + 1] > cuts[i]
+            )
+            weight = len(cps) * log_p + (k - len(cps)) * log_1mp
+            run = k - (cps[-1] if cps else 0)
+            buckets[run].append(loglik + weight)
+        col = np.full(k + 1, -np.inf)
+        for run, vals in enumerate(buckets):
+            if vals:
+                col[run] = _logsumexp_1d(np.array(vals))
+        posterior[: k + 1, k] = np.exp(col - _logsumexp_1d(col))
+    return posterior
 
 
 def reference_columns(values, prior, hazard, prune_threshold=None):
