@@ -438,9 +438,11 @@ class RunLengthPosterior:
     Column k holds the nonzero posterior weights after k observations:
     ``weights[indptr[k]:indptr[k + 1]]`` at rows
     ``run_lengths[indptr[k]:indptr[k + 1]]``. Every other cell is exactly
-    zero, so memory scales with the live hypotheses, not with T²: 16 bytes
-    a stored cell. ``steps`` (1 to 4 bytes a cell) and ``layout`` (8), the
-    row layout both dense writers share, are made on first use and kept.
+    zero, so memory scales with the live hypotheses, not with T²: 8 bytes
+    a stored cell for the weight and 1 to 4 for the run length, in the
+    narrowest unsigned type that holds T (10 on a night of 8,640 steps).
+    ``layout``, the row layout both dense writers share, is made on first
+    use and kept (4 bytes a cell).
     """
 
     size: int
@@ -449,21 +451,15 @@ class RunLengthPosterior:
     weights: np.ndarray
 
     @functools.cached_property
-    def steps(self) -> np.ndarray:
-        """Column (time step) of each stored entry, in the narrowest
-        unsigned type that holds every step."""
-        return np.repeat(np.arange(self.size, dtype=np.min_scalar_type(self.size)),
-                         np.diff(self.indptr))
-
-    @functools.cached_property
     def layout(self) -> tables.MatrixLayout:
-        return tables.matrix_layout(self.size, self.run_lengths, self.steps)
+        return tables.matrix_layout(self.size, self.run_lengths, self.indptr)
 
     def toarray(self) -> np.ndarray:
         """The dense (T+1) x (T+1) matrix, rows indexed by run length and
         columns by time step."""
         dense = np.zeros((self.size, self.size))
-        dense[self.run_lengths, self.steps] = self.weights
+        steps = np.repeat(np.arange(self.size), np.diff(self.indptr))
+        dense[self.run_lengths, steps] = self.weights
         return dense
 
 
@@ -482,8 +478,10 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
     values = getattr(series, "values", series)
     values = np.atleast_2d(np.asarray(values, dtype=float))
     hyps = HypothesisSet(prior)
-    # the outputs grow in place (a realloc), so no copy of them is ever made
-    run_lengths, weights, filled = np.zeros(1, dtype=int), np.ones(1), 1
+    # the outputs grow in place (a realloc), so no copy of them is ever made;
+    # run lengths take the narrowest unsigned type that holds the longest run
+    run_lengths = np.zeros(1, dtype=np.min_scalar_type(len(values)))
+    weights, filled = np.ones(1), 1
     stored = [0, 1]  # 0, then the number of weights stored in each column
     start = 0
     while start < len(values):
@@ -526,12 +524,16 @@ def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
     remain visible next to the dominant short ones; white is high
     probability.
     """
-    row_max = np.zeros(posterior.size)
-    np.maximum.at(row_max, posterior.run_lengths, posterior.weights)
-    # rint(255 (weight / row max)) in place, then one byte per cell
-    gray = row_max[posterior.run_lengths]
-    np.divide(posterior.weights, gray, out=gray)
-    gray *= 255.0
-    gray = np.rint(gray, out=gray).astype(np.uint8)
-    n = posterior.size
+    n, run_lengths, weights = posterior.size, posterior.run_lengths, posterior.weights
+    row_max = np.zeros(n)
+    np.maximum.at(row_max, run_lengths, weights)
+    # rint(255 (weight / row max)), ``tables.CHUNK_CELLS`` cells at a time,
+    # so only the byte per cell is full size
+    gray = np.empty(len(weights), dtype=np.uint8)
+    for a in range(0, len(weights), tables.CHUNK_CELLS):
+        b = a + tables.CHUNK_CELLS
+        level = row_max[run_lengths[a:b]]
+        np.divide(weights[a:b], level, out=level)
+        level *= 255.0
+        gray[a:b] = np.rint(level, out=level)
     tables.write_matrix_text(path, posterior.layout, gray, "%d", " ", f"P2\n{n} {n}\n255\n")

@@ -119,16 +119,17 @@ def _cmd_simulate(args) -> int:
     data_path = os.path.join(out, "session.csv")
     if args.level == "embedding":
         session = simulate.generate_session(config)
-        kinematics.write_embedding_csv(data_path, session.series)
+        rows = kinematics.write_embedding_csv(data_path, session.series)
     else:
         session = simulate.generate_session_axis_angle(config, factor=args.decimation)
         timestamps, axes, angles = session.axis_angle
-        kinematics.write_axis_angle_csv(data_path, timestamps, axes, angles)
+        rows = kinematics.write_axis_angle_csv(data_path, timestamps, axes, angles)
     labels_path = os.path.join(out, "labels.csv")
     simulate.write_labels_csv(labels_path, session.segments)
+    # samples are in the labels' units, rows are what session.csv holds
     print(
         f"seed={config.seed} segments={len(session.segments)} "
-        f"samples={len(session.series)} wrote {data_path} {labels_path}"
+        f"samples={len(session.series)} rows={rows} wrote {data_path} {labels_path}"
     )
     return EXIT_OK
 

@@ -162,6 +162,7 @@ def run_pipeline(config: PipelineConfig, series: kinematics.EmbeddingSeries) -> 
     os.makedirs(out, exist_ok=True)
     segmentation.segments_to_csv(segments, os.path.join(out, "segments.csv"))
     segmentation.write_runlength_csv(os.path.join(out, "runlength.csv"), raw_trace, post_trace)
+    posterior.layout  # the writers' shared layout, built before either so neither pays for it
     bocpd.posterior_to_csv(posterior, os.path.join(out, "posterior.csv"))
     bocpd.posterior_to_pgm(posterior, os.path.join(out, "posterior.pgm"))
     segmentation.report_to_json(report, os.path.join(out, "report.json"))

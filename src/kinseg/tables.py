@@ -9,7 +9,7 @@ template; ``csv.writer`` also writes a float as its ``repr`` and quotes
 no ``repr`` of a float, so the bytes are the same. A Cartesian product
 of two float arrays formats each row of each array once. A dense
 matrix with few stored cells is written in binary from a row layout of
-its stored cells that callers can keep (8 bytes a stored cell), one row
+its stored cells that callers can keep (4 bytes a stored cell), one row
 of cells converted to Python scalars at a time: zero stretches are
 slices of one zero row, a row with no stored cell is one prebuilt line,
 and lines are gathered into writes of ``WRITE_BYTES`` or more. Every file
@@ -34,6 +34,8 @@ import numpy as np
 BLOCK_ROWS = 4096
 #: Bytes of a dense matrix's lines gathered before a ``write`` call.
 WRITE_BYTES = 1 << 18
+#: Stored cells of a sparse matrix that a pass over them handles at a time.
+CHUNK_CELLS = 1 << 14
 
 
 def atomic_write(path, write_fn) -> None:
@@ -111,8 +113,9 @@ def write_product_csv(path, header, left, right, lineterminator="\r\n") -> None:
 class MatrixLayout(NamedTuple):
     """Where the stored cells of an n x n matrix sit, row by row.
 
-    ``order`` puts the stored cells in row-major order, 8 bytes a cell;
-    the rest is a few numbers per stretch. The stretches of
+    ``order`` puts the stored cells in row-major order, 4 bytes a cell
+    (int32) while there are fewer than 2^31 cells and 8 beyond; the rest
+    is a few numbers per stretch. The stretches of
     adjacent stored cells in row r are ``row_stretches[r]`` up to
     ``row_stretches[r + 1]``; stretch s starts at column
     ``first_cols[s]`` and holds the ordered cells ``bounds[s]`` up to
@@ -126,24 +129,34 @@ class MatrixLayout(NamedTuple):
     bounds: list
 
 
-def matrix_layout(n, rows, cols) -> MatrixLayout:
-    """The layout of stored cells at (``rows``, ``cols``), ordered by column.
+def matrix_layout(n, rows, indptr) -> MatrixLayout:
+    """The layout of an n x n matrix's stored cells, given column by
+    column: column c holds the cells ``indptr[c]`` up to ``indptr[c + 1]``,
+    at rows ``rows[indptr[c]:indptr[c + 1]]``.
 
-    It is built from one sorted key per cell, 4 bytes while n (n + 1)
-    fits in 31 bits and 8 beyond, beside the order it returns.
+    It sorts one row-major key per cell, 4 bytes while n (n + 1) fits in
+    31 bits and 8 beyond, and tests the sorted keys for stretches
+    ``CHUNK_CELLS`` at a time. The key is freed before the argsort's int64
+    result is narrowed, so 12 bytes a cell are the most held at once (16
+    past 31-bit keys).
     """
     # row-major keys of width n + 1: a row's last column and the next row's
     # first are 2 apart, so a stretch starts where the key does not go up by 1
-    key = np.multiply(rows, n + 1, dtype=np.int32 if n * (n + 1) < 2 ** 31 else np.int64)
-    key += cols
+    key_type = np.int32 if n * (n + 1) < 2 ** 31 else np.int64
+    key = np.multiply(rows, n + 1, dtype=key_type)
+    key += np.repeat(np.arange(n, dtype=key_type), np.diff(indptr))
     order = np.argsort(key)  # keys are distinct, so every sort gives this order
     key.sort()
-    new = np.ones(len(key), dtype=bool)
-    np.not_equal(np.diff(key), 1, out=new[1:])
-    starts = key[new]
-    first_rows, first_cols = np.divmod(starts, n + 1)
+    firsts = [np.zeros(min(len(key), 1), dtype=int)]  # the first cell starts one
+    for a in range(0, len(key), CHUNK_CELLS):
+        firsts.append(np.flatnonzero(np.diff(key[a:a + CHUNK_CELLS + 1]) != 1) + (a + 1))
+    firsts = np.concatenate(firsts)
+    first_rows, first_cols = np.divmod(key[firsts], n + 1)
+    del key
+    if len(order) < 2 ** 31:
+        order = order.astype(np.int32)
     return MatrixLayout(n, order, np.searchsorted(first_rows, np.arange(n + 1)).tolist(),
-                        first_cols.tolist(), np.append(np.flatnonzero(new), len(key)).tolist())
+                        first_cols.tolist(), [*firsts.tolist(), len(order)])
 
 
 def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:

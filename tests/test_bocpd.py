@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_t
 
-from kinseg import bocpd, simulate
+from kinseg import bocpd, segmentation, simulate, tables
 from kinseg.bocpd import (
     HazardConfig,
     HypothesisSet,
@@ -19,6 +19,7 @@ from kinseg.bocpd import (
 )
 from util_data import (
     ReferenceHypothesisSet,
+    banded_posterior,
     brute_force_posterior,
     dense_posterior_csv,
     dense_posterior_pgm,
@@ -28,6 +29,7 @@ from util_data import (
     nw_posterior_params,
     reference_columns,
     reference_step,
+    traced_peak,
     two_segment_series,
 )
 
@@ -455,6 +457,44 @@ class TestExports:
         bocpd.posterior_to_pgm(P, a)
         bocpd.posterior_to_pgm(P, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pgm_gray_levels_per_stored_cell(self, tmp_path, monkeypatch):
+        P = banded_posterior(2000, 300)  # 555,150 cells
+        P.layout  # built outside the measurement
+        grays = []
+
+        def record(path, layout, cells, *args):  # stands in for the writer
+            grays.append(cells)
+
+        monkeypatch.setattr(tables, "write_matrix_text", record)
+        peak = traced_peak(lambda: bocpd.posterior_to_pgm(P, tmp_path / "p.pgm"))
+        assert grays[0].dtype == np.uint8 and len(grays[0]) == len(P.weights)
+        # one byte a cell and chunk-sized float temporaries, 1.6 bytes a cell
+        # measured; float gray levels of every cell at once cost 9
+        assert peak < 2 * len(P.weights), f"{peak / len(P.weights):.1f} bytes per stored cell"
+
+
+class TestPosteriorPathMemory:
+    def test_after_inference_per_stored_cell(self, tmp_path):
+        """What a run holds after inference beyond the posterior itself:
+        the estimate, the shared layout and both writers."""
+        session = simulate.generate_session(simulate.SessionConfig(seed=7, replications=3))
+        P = infer_posterior(session.series.values[:1000], informative_prior(),
+                            HazardConfig(0.01))
+        assert len(P.weights) > 300_000
+
+        def after_inference():
+            segmentation.lms_estimate(P)
+            P.layout
+            bocpd.posterior_to_csv(P, tmp_path / "posterior.csv")
+            bocpd.posterior_to_pgm(P, tmp_path / "posterior.pgm")
+
+        peak = traced_peak(after_inference)
+        # the layout's key and argsort, then that argsort and its int32
+        # narrowing, and the writers' Python rows: 12.3 bytes a cell
+        # measured; full-size temporaries in the estimate, the layout and
+        # the gray levels cost over 18
+        assert peak < 14 * len(P.weights), f"{peak / len(P.weights):.1f} bytes per stored cell"
 
 
 def _two_posture_series():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinseg import bocpd, segmentation
+from kinseg import bocpd, segmentation, tables
 from kinseg.segmentation import (
     ChangepointEvent,
     Segment,
@@ -11,7 +11,7 @@ from kinseg.segmentation import (
     lms_estimate,
     postprocess_runlength,
 )
-from util_data import column_posterior
+from util_data import banded_posterior, column_posterior, traced_peak
 
 
 def _random_columns(rng, n):
@@ -43,6 +43,23 @@ class TestLmsEstimate:
         trace = lms_estimate(_random_columns(np.random.default_rng(2), 21))
         assert np.all(trace >= 0.0)
         assert np.all(trace <= np.arange(21))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, tables.CHUNK_CELLS])
+    def test_same_bits_as_one_pass(self, monkeypatch, chunk):
+        # chunks of whole columns, and columns longer than a chunk, sum each
+        # column in the order one bincount over every cell does
+        monkeypatch.setattr(tables, "CHUNK_CELLS", chunk)
+        P = _random_columns(np.random.default_rng(3), 60)
+        steps = np.repeat(np.arange(P.size), np.diff(P.indptr))
+        one_pass = np.bincount(steps, weights=P.run_lengths * P.weights, minlength=P.size)
+        assert lms_estimate(P).tobytes() == one_pass.tobytes()
+
+    def test_peak_memory_per_stored_cell(self):
+        P = banded_posterior(2000, 300)  # 555,150 cells
+        peak = traced_peak(lambda: lms_estimate(P))
+        # chunk-sized temporaries and the estimate, about 0.6 bytes a cell;
+        # one pass over every cell copies the steps and the products, 16
+        assert peak < 2 * len(P.weights), f"{peak / len(P.weights):.1f} bytes per stored cell"
 
 
 #: Largest difference allowed between ``lms_estimate``, which sums each

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 from scipy.special import gammaln
@@ -368,6 +369,28 @@ def column_posterior(columns):
                               np.concatenate(weights))
 
 
+def banded_posterior(size, band, seed=0):
+    """A ``RunLengthPosterior`` whose column k stores run lengths 0 to
+    min(k, band - 1), as a pruned posterior does, with random weights and
+    uint16 run lengths."""
+    counts = np.minimum(np.arange(size) + 1, band)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    run_lengths = (np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)).astype(np.uint16)
+    weights = np.random.default_rng(seed).random(indptr[-1])
+    return RunLengthPosterior(size, indptr, run_lengths, weights)
+
+
+def traced_peak(fn):
+    """Call ``fn`` and return the most bytes its allocations held at once,
+    as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def dense_reference_posterior(values, prior, hazard, prune_threshold=None):
     """Reference recursion: fill every column of a dense (T+1)^2 matrix
     with the weights of the hypotheses live after each step."""
@@ -397,12 +420,12 @@ def dense_posterior_pgm(P, path):
         fh.write("\n".join(lines) + "\n")
 
 
-# Runs the CLI on argv[2:], then writes the process's own peak resident set
-# (VmHWM, in KiB) to the file argv[1].
+# Runs the CLI on argv[2:], if any, then writes the process's own peak
+# resident set (VmHWM, in KiB) to the file argv[1].
 _PEAK_CHILD = """
 import sys
 from kinseg.cli import main
-code = main(sys.argv[2:])
+code = main(sys.argv[2:]) if sys.argv[2:] else 0
 with open("/proc/self/status") as status, open(sys.argv[1], "w") as out:
     out.write(next(line for line in status if line.startswith("VmHWM:")).split()[1])
 sys.exit(code)
@@ -411,7 +434,9 @@ sys.exit(code)
 
 def cli_peak_mb(args, env, peak_path):
     """Run ``kinseg.cli`` on ``args`` in a fresh interpreter and return its
-    exit code and its own peak resident set in MB (10^6 bytes).
+    exit code and its own peak resident set in MB (10^6 bytes). With no
+    ``args`` the child only imports ``kinseg.cli``, the baseline a command
+    adds to.
 
     The child reads its high-water mark from /proc/self/status as it ends.
     ``ru_maxrss`` from ``wait4`` would not do: the child is spawned with
