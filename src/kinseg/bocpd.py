@@ -262,16 +262,16 @@ class HypothesisSet:
     predictive matrices.
 
     Hypotheses are listed newest (shortest run) first: ``run_lengths``
-    (h,), ``means`` (d, h), ``scatters`` (d(d+1)/2, h), each scatter matrix
-    as its upper triangle in ``np.triu_indices`` order, and
-    ``log_weights`` (h,), the normalised log run-length posterior of the
-    current step. ``score(block)`` is the data half of the next steps: it
-    advances the statistics of every hypothesis live now or born in the
-    block through the block and scores every (step, hypothesis) cell with
-    one Student-t pass. ``step`` is the weight half and reads one row of
-    those scores per step; ``prune`` drops hypotheses. Everything of a
-    predictive but its data term depends only on the count and is read
-    from a table (``_count_table``) that doubles when a longer run appears.
+    (h,) and ``log_weights`` (h,), the normalised log run-length
+    posterior of the current step; each scatter matrix is stored as its
+    upper triangle in ``np.triu_indices`` order. ``score(block)`` is the
+    data half of the next steps: it advances the statistics of every
+    hypothesis live now or born in the block through the block and scores
+    every (step, hypothesis) cell with one Student-t pass. ``step`` is the
+    weight half and reads one row of those scores per step; ``prune``
+    drops hypotheses. Everything of a predictive but its data term depends
+    only on the count and is read from a table (``_count_table``) that
+    doubles when a longer run appears.
     """
 
     def __init__(self, prior: NormalWishartParams):
@@ -308,14 +308,6 @@ class HypothesisSet:
     @property
     def run_lengths(self) -> np.ndarray:
         return self._counts[self._row, self._state[0]]
-
-    @property
-    def means(self) -> np.ndarray:
-        return self._means[:, self._row, self._state[0]]
-
-    @property
-    def scatters(self) -> np.ndarray:
-        return self._scatters[:, self._row, self._state[0]]
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -453,14 +445,6 @@ class RunLengthPosterior:
     @functools.cached_property
     def layout(self) -> tables.MatrixLayout:
         return tables.matrix_layout(self.size, self.run_lengths, self.indptr)
-
-    def toarray(self) -> np.ndarray:
-        """The dense (T+1) x (T+1) matrix, rows indexed by run length and
-        columns by time step."""
-        dense = np.zeros((self.size, self.size))
-        steps = np.repeat(np.arange(self.size), np.diff(self.indptr))
-        dense[self.run_lengths, steps] = self.weights
-        return dense
 
 
 def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,

@@ -69,9 +69,11 @@ def quaternion_series_to_axis_angle(quats):
     degenerate = angles <= ZERO_ANGLE_EPS
     safe = np.where(vec_norms > 0.0, vec_norms, 1.0)
     axes = vec / safe[:, None]
-    # iterating in order propagates the carried axis through degenerate runs
-    for i in np.flatnonzero(degenerate):
-        axes[i] = np.asarray(DEFAULT_AXIS, dtype=float) if i == 0 else axes[i - 1]
+    if degenerate.any():
+        # each row's last non-degenerate row at or before it, -1 for none
+        last = np.maximum.accumulate(np.where(degenerate, -1, np.arange(len(q))))
+        carried = last[degenerate]
+        axes[degenerate] = np.where((carried < 0)[:, None], DEFAULT_AXIS, axes[carried])
     return axes, angles
 
 
@@ -135,9 +137,6 @@ class EmbeddingSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def decimated(self, factor: int) -> "EmbeddingSeries":
-        return decimate(self, factor)
 
 
 def decimate(series, factor: int):

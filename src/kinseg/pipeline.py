@@ -93,7 +93,7 @@ def load_embedding_series(config: PipelineConfig, data) -> kinematics.EmbeddingS
                 "the external embedding source needs a t,o1,o2,o3 input file"
             )
         series = kinematics.EmbeddingSeries(values, timestamps, source="external")
-    return series.decimated(config.decimation)
+    return kinematics.decimate(series, config.decimation)
 
 
 def infer_trace(values, config: PipelineConfig):

@@ -159,7 +159,11 @@ def generate_synthetic_dataset(axes, angles) -> np.ndarray:
     """Cartesian product of axes and angles as rows (a1, a2, a3, angle).
 
     Axis-major: every angle of the first axis, then the next axis, and so
-    on; row count is ``len(axes) * len(angles)``.
+    on; row count is ``len(axes) * len(angles)``. The CLI writes the
+    product through ``export_dataset_csv`` without building it; this stays
+    public because the README documents it, because it returns the
+    paper's dataset as an array for manifold learning, and because it is
+    the oracle that writer is tested against.
     """
     axes, angles = _product_factors(axes, angles)
     rows = np.empty((len(axes) * len(angles), 4))

@@ -134,25 +134,27 @@ def matrix_layout(n, rows, indptr) -> MatrixLayout:
     column: column c holds the cells ``indptr[c]`` up to ``indptr[c + 1]``,
     at rows ``rows[indptr[c]:indptr[c + 1]]``.
 
-    It sorts one row-major key per cell, 4 bytes while n (n + 1) fits in
-    31 bits and 8 beyond, and tests the sorted keys for stretches
-    ``CHUNK_CELLS`` at a time. The key is freed before the argsort's int64
-    result is narrowed, so 12 bytes a cell are the most held at once (16
-    past 31-bit keys).
+    The cells come column by column, so a stable argsort of ``rows`` keeps
+    each row's cells in column order: the order is row-major. The ordered
+    cells are tested for stretches ``CHUNK_CELLS`` at a time by their rows
+    and columns, from a column per cell in the narrowest unsigned type
+    that holds n (2 bytes a cell up to 65,536 columns). The argsort's
+    int64 result and the int32 order it is narrowed to, 12 bytes a cell,
+    are the most held at once.
     """
-    # row-major keys of width n + 1: a row's last column and the next row's
-    # first are 2 apart, so a stretch starts where the key does not go up by 1
-    key_type = np.int32 if n * (n + 1) < 2 ** 31 else np.int64
-    key = np.multiply(rows, n + 1, dtype=key_type)
-    key += np.repeat(np.arange(n, dtype=key_type), np.diff(indptr))
-    order = np.argsort(key)  # keys are distinct, so every sort gives this order
-    key.sort()
-    firsts = [np.zeros(min(len(key), 1), dtype=int)]  # the first cell starts one
-    for a in range(0, len(key), CHUNK_CELLS):
-        firsts.append(np.flatnonzero(np.diff(key[a:a + CHUNK_CELLS + 1]) != 1) + (a + 1))
-    firsts = np.concatenate(firsts)
-    first_rows, first_cols = np.divmod(key[firsts], n + 1)
-    del key
+    order = np.argsort(rows, kind="stable")
+    cols = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), np.diff(indptr))
+
+    def stretch_starts(a):
+        """The ordered cells a + 1 up to a + ``CHUNK_CELLS`` that start a stretch."""
+        cells = order[a:a + CHUNK_CELLS + 1]
+        # a stretch starts where the row changes or the column does not go up by 1
+        return np.flatnonzero((np.diff(rows[cells]) != 0) | (np.diff(cols[cells]) != 1)) + (a + 1)
+
+    firsts = np.concatenate([np.zeros(min(len(order), 1), dtype=int),  # the first cell starts one
+                             *map(stretch_starts, range(0, len(order), CHUNK_CELLS))])
+    first_rows, first_cols = rows[order[firsts]], cols[order[firsts]]
+    del cols  # before the narrowed order is made
     if len(order) < 2 ** 31:
         order = order.astype(np.int32)
     return MatrixLayout(n, order, np.searchsorted(first_rows, np.arange(n + 1)).tolist(),

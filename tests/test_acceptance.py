@@ -13,6 +13,7 @@ import pytest
 from kinseg import bocpd, cli, metrics, pipeline, segmentation, simulate, synthgen
 from util_data import (
     brute_force_posterior,
+    dense_matrix,
     monte_carlo_predictive_densities,
     nw_posterior_params,
     random_surface_points,
@@ -51,7 +52,7 @@ def session_batch():
             posterior, raw_traces[prior_kind] = pipeline.infer_trace(session.series.values, config)
             if prior_kind == best_prior:
                 best_variant_seconds += time.perf_counter() - started
-                _check_posterior_structure(posterior.toarray())
+                _check_posterior_structure(dense_matrix(posterior))
                 posteriors_checked += 1
         for variant in pipeline.VARIANTS:
             config = replace(base, **pipeline.variant_settings(variant))
@@ -121,7 +122,7 @@ class TestCriterion3OracleEquivalence:
             for prior in (bocpd.informative_prior(), bocpd.noninformative_prior()):
                 for p in (0.01, 0.1):
                     hazard = bocpd.HazardConfig(p)
-                    P = bocpd.infer_posterior(values, prior, hazard).toarray()
+                    P = dense_matrix(bocpd.infer_posterior(values, prior, hazard))
                     B = brute_force_posterior(values, prior, hazard)
                     worst = max(worst, float(np.abs(P - B).max()))
                     _check_posterior_structure(P)
@@ -138,8 +139,8 @@ class TestCriterion4PosteriorStructure:
     def test_structure_on_fresh_runs(self):
         for seed in (0, 1):
             values = np.random.default_rng(100 + seed).normal(size=(40, 3))
-            P = bocpd.infer_posterior(values, bocpd.informative_prior(),
-                                      bocpd.HazardConfig(0.02)).toarray()
+            P = dense_matrix(bocpd.infer_posterior(values, bocpd.informative_prior(),
+                                                   bocpd.HazardConfig(0.02)))
             _check_posterior_structure(P)
         _passed("criterion 4: columns sum to 1 within 1e-9, impossible run lengths exactly zero")
 
@@ -269,12 +270,12 @@ class TestCriterion11Performance:
         # the dense matrices are built inside the timed regions
         started = time.perf_counter()
         full = bocpd.infer_posterior(values, prior, hazard)
-        full_dense = full.toarray()
+        full_dense = dense_matrix(full)
         full_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
         pruned = bocpd.infer_posterior(values, prior, hazard, prune_threshold=1e-12)
-        pruned_dense = pruned.toarray()
+        pruned_dense = dense_matrix(pruned)
         pruned_seconds = time.perf_counter() - started
 
         assert full_seconds < 10.0

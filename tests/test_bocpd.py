@@ -21,10 +21,12 @@ from util_data import (
     ReferenceHypothesisSet,
     banded_posterior,
     brute_force_posterior,
+    dense_matrix,
     dense_posterior_csv,
     dense_posterior_pgm,
     dense_reference_posterior,
     hypothesis_params,
+    hypothesis_statistics,
     monte_carlo_predictive_density,
     nw_posterior_params,
     reference_columns,
@@ -248,7 +250,7 @@ class TestStep:
     def test_vanishing_hazard_concentrates_on_full_run(self):
         rng = np.random.default_rng(8)
         vals = np.array([0.9, -0.2, 0.4]) + 0.1 * rng.standard_normal((30, 3))
-        P = infer_posterior(vals, informative_prior(), HazardConfig(1e-12)).toarray()
+        P = dense_matrix(infer_posterior(vals, informative_prior(), HazardConfig(1e-12)))
         assert P[:, 30].argmax() == 30
         assert P[30, 30] > 0.999
 
@@ -261,8 +263,8 @@ class TestStep:
 class TestRunInference:
     def test_t1_matrix(self):
         p = 0.07
-        P = infer_posterior(random_series(1, n=1), informative_prior(),
-                            HazardConfig(p)).toarray()
+        P = dense_matrix(infer_posterior(random_series(1, n=1), informative_prior(),
+                                         HazardConfig(p)))
         assert np.allclose(P, [[1.0, p], [0.0, 1.0 - p]], atol=1e-15)
 
     def test_t2_column_hand_evaluated(self):
@@ -284,16 +286,17 @@ class TestRunInference:
             (1.0 - p) ** 2 * pred1,
         ])
         expected = joints / joints.sum()
-        P = infer_posterior(np.vstack([o1, o2]), prior, HazardConfig(p)).toarray()
+        P = dense_matrix(infer_posterior(np.vstack([o1, o2]), prior, HazardConfig(p)))
         assert np.allclose(P[:3, 2], expected, atol=1e-14)
 
     def test_empty_series(self):
-        P = infer_posterior(np.empty((0, 3)), informative_prior(), HazardConfig(0.01)).toarray()
+        P = dense_matrix(infer_posterior(np.empty((0, 3)), informative_prior(),
+                                         HazardConfig(0.01)))
         assert np.array_equal(P, [[1.0]])
 
     def test_column_sums_and_impossible_run_lengths(self):
-        P = infer_posterior(random_series(6, n=20), informative_prior(),
-                            HazardConfig(0.05)).toarray()
+        P = dense_matrix(infer_posterior(random_series(6, n=20), informative_prior(),
+                                         HazardConfig(0.05)))
         assert np.allclose(P.sum(axis=0), 1.0, atol=1e-12)
         # a run length cannot exceed the number of observations: with rows
         # indexed by run length and columns by time, everything strictly
@@ -302,7 +305,7 @@ class TestRunInference:
 
     def test_constant_series_grows_run_length(self):
         vals = np.tile([1.2, -0.3, 0.8], (50, 1))
-        P = infer_posterior(vals, informative_prior(), HazardConfig(0.01)).toarray()
+        P = dense_matrix(infer_posterior(vals, informative_prior(), HazardConfig(0.01)))
         assert P[:, 50].argmax() == 50
 
     def test_mean_shift_resets_run_length(self):
@@ -312,8 +315,8 @@ class TestRunInference:
         sigma = 0.1
         a = np.array([1.4, 0.2, 0.1]) + sigma * rng.standard_normal((25, 3))
         b = np.array([-1.2, -0.6, 0.4]) + sigma * rng.standard_normal((10, 3))
-        P = infer_posterior(np.vstack([a, b]), informative_prior(),
-                            HazardConfig(0.01)).toarray()
+        P = dense_matrix(infer_posterior(np.vstack([a, b]), informative_prior(),
+                                         HazardConfig(0.01)))
         assert min(P[:, 26].argmax(), P[:, 27].argmax()) <= 2
 
     def test_windowing_property(self):
@@ -341,7 +344,7 @@ class TestRunInference:
         prior = informative_prior()
         reset_rows = []
         for p in (0.001, 0.01, 0.1, 0.5):
-            P = infer_posterior(vals, prior, HazardConfig(p)).toarray()
+            P = dense_matrix(infer_posterior(vals, prior, HazardConfig(p)))
             reset_rows.append(P[0, 1:])
         for lo, hi in zip(reset_rows, reset_rows[1:]):
             assert np.all(hi >= lo - 1e-12)
@@ -350,8 +353,8 @@ class TestRunInference:
         vals = random_series(17, n=60)
         prior = informative_prior()
         hz = HazardConfig(0.02)
-        full = infer_posterior(vals, prior, hz).toarray()
-        pruned = infer_posterior(vals, prior, hz, prune_threshold=1e-12).toarray()
+        full = dense_matrix(infer_posterior(vals, prior, hz))
+        pruned = dense_matrix(infer_posterior(vals, prior, hz, prune_threshold=1e-12))
         assert np.abs(full - pruned).max() < 1e-9
 
     def test_epsilon_regularisation_stays_exact(self):
@@ -365,7 +368,7 @@ class TestRunInference:
         hz = HazardConfig(0.01)
         for eps in (1e-10, 1e-8, 1e-6):
             prior = noninformative_prior(epsilon=eps)
-            P = infer_posterior(vals, prior, hz).toarray()
+            P = dense_matrix(infer_posterior(vals, prior, hz))
             B = brute_force_posterior(vals, prior, hz)
             assert np.abs(P - B).max() < 1e-9
             assert np.allclose(P.sum(axis=0), 1.0, atol=1e-12)
@@ -379,7 +382,7 @@ class TestRunInference:
         # scales under the noninformative prior; the recursion must still
         # agree with the oracle instead of failing
         prior, hz = noninformative_prior(), HazardConfig(0.5)
-        P = infer_posterior(np.array(vals), prior, hz).toarray()
+        P = dense_matrix(infer_posterior(np.array(vals), prior, hz))
         B = brute_force_posterior(np.array(vals), prior, hz)
         assert np.abs(P - B).max() < 1e-9
         assert np.allclose(P.sum(axis=0), 1.0, atol=1e-12)
@@ -392,7 +395,7 @@ class TestRunInference:
         from kinseg.kinematics import EmbeddingSeries
         values = 1.5 * np.eye(3)[np.zeros(5, dtype=int)]
         series = EmbeddingSeries(values, np.arange(5.0))
-        P = infer_posterior(series, informative_prior(), HazardConfig(0.01)).toarray()
+        P = dense_matrix(infer_posterior(series, informative_prior(), HazardConfig(0.01)))
         assert P.shape == (6, 6)
 
     @pytest.mark.parametrize("d", [1, 2, 4])
@@ -401,7 +404,7 @@ class TestRunInference:
         vals = rng.normal(size=(7, d))
         prior = NormalWishartParams(np.zeros(d), 0.5, d + 1.0, 2.0 * np.eye(d))
         hz = HazardConfig(0.05)
-        P = infer_posterior(vals, prior, hz).toarray()
+        P = dense_matrix(infer_posterior(vals, prior, hz))
         B = brute_force_posterior(vals, prior, hz)
         assert np.abs(P - B).max() < 1e-9
         assert np.allclose(P.sum(axis=0), 1.0, atol=1e-12)
@@ -422,7 +425,7 @@ class TestBruteForceOracle:
             for prior in (informative_prior(), noninformative_prior()):
                 for p in (0.01, 0.1):
                     hz = HazardConfig(p)
-                    P = infer_posterior(vals, prior, hz).toarray()
+                    P = dense_matrix(infer_posterior(vals, prior, hz))
                     B = brute_force_posterior(vals, prior, hz)
                     assert np.abs(P - B).max() < 1e-9
                     # enumerated configuration probabilities are exhaustive
@@ -436,7 +439,7 @@ class TestExports:
         bocpd.posterior_to_csv(P, path)
         back = np.loadtxt(path, delimiter=",")
         assert back.shape == (5, 5)
-        assert np.allclose(back, P.toarray(), atol=1e-8)
+        assert np.allclose(back, dense_matrix(P), atol=1e-8)
 
     def test_posterior_pgm(self, tmp_path):
         P = infer_posterior(random_series(20, n=4), informative_prior(), HazardConfig(0.01))
@@ -507,18 +510,18 @@ class TestColumnStore:
     matrix and the bytes of the dense reference writers."""
 
     @pytest.mark.parametrize("prune", [None, 1e-12], ids=["exact", "pruned"])
-    def test_toarray_matches_dense_recursion(self, prune):
+    def test_stored_cells_match_dense_recursion(self, prune):
         vals = _two_posture_series()
         P = infer_posterior(vals, informative_prior(), HazardConfig(0.01), prune)
         dense = dense_reference_posterior(vals, informative_prior(), HazardConfig(0.01), prune)
         assert P.size == len(vals) + 1
-        assert np.allclose(P.toarray(), dense, rtol=0.0, atol=WEIGHT_ATOL[informative_prior])
+        assert np.allclose(dense_matrix(P), dense, rtol=0.0, atol=WEIGHT_ATOL[informative_prior])
         assert np.all(P.weights > 0.0)
         assert np.array_equal(np.diff(P.indptr), np.count_nonzero(dense, axis=0))
 
     @staticmethod
     def _assert_same_bytes(P, tmp_path):
-        dense = P.toarray()
+        dense = dense_matrix(P)
         for write, reference, name in ((bocpd.posterior_to_csv, dense_posterior_csv, "csv"),
                                        (bocpd.posterior_to_pgm, dense_posterior_pgm, "pgm")):
             ours, theirs = tmp_path / f"ours.{name}", tmp_path / f"reference.{name}"
@@ -539,7 +542,7 @@ class TestColumnStore:
         # rows past the longest live run length are entirely zero
         assert P.run_lengths.max() < P.size - 10
         # some stored weights round to gray 0 against their row maximum
-        row_max = P.toarray().max(axis=1)
+        row_max = dense_matrix(P).max(axis=1)
         assert np.any(np.rint(255.0 * P.weights / row_max[P.run_lengths]) == 0)
         self._assert_same_bytes(P, tmp_path)
 
@@ -566,9 +569,10 @@ def _reference_store(values, prior, hazard, prune):
 
 def _assert_same_state(hyps, ref, atol):
     i, j = np.triu_indices(hyps.prior.dim)
+    means, scatters = hypothesis_statistics(hyps)
     assert np.array_equal(hyps.run_lengths, ref.run_lengths)
-    assert np.array_equal(hyps.means, ref.means.T)
-    assert np.array_equal(hyps.scatters, ref.scatters[:, i, j].T)
+    assert np.array_equal(means, ref.means.T)
+    assert np.array_equal(scatters, ref.scatters[:, i, j].T)
     assert np.allclose(np.exp(hyps.log_weights), np.exp(ref.log_weights), rtol=0.0, atol=atol)
 
 
@@ -676,13 +680,13 @@ class TestKernelPin:
         hyps = HypothesisSet(informative_prior())
         for o in random_series(28, n=20):
             hyps = scored_step(hyps, o, HazardConfig(0.05))
-        before = [a.copy() for a in (hyps.run_lengths, hyps.means, hyps.scatters,
+        before = [a.copy() for a in (hyps.run_lengths, *hypothesis_statistics(hyps),
                                      hyps.log_weights)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the quadratic form's nan is silent
             with pytest.raises(FloatingPointError):
                 scored_step(hyps, [0.3, bad, -0.1], HazardConfig(0.05))
-        after = (hyps.run_lengths, hyps.means, hyps.scatters, hyps.log_weights)
+        after = (hyps.run_lengths, *hypothesis_statistics(hyps), hyps.log_weights)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 

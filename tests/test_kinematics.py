@@ -80,6 +80,31 @@ class TestSeriesConversion:
         axes, _ = quaternion_series_to_axis_angle([(1.0, 0.0, 0.0, 0.0)])
         assert np.allclose(axes[0], kinematics.DEFAULT_AXIS)
 
+    @pytest.mark.parametrize("runs", [
+        [(0, 3)], [(5, 9)], [(17, 20)], [(0, 2), (6, 7), (11, 15), (18, 20)], [(0, 20)], [],
+    ], ids=["start", "middle", "end", "mixed", "all", "none"])
+    def test_carry_forward_matches_row_loop(self, runs):
+        rng = np.random.default_rng(len(runs))
+        quats = rng.standard_normal((20, 4))
+        degenerate = np.zeros(20, dtype=bool)
+        for a, b in runs:
+            degenerate[a:b] = True
+        # identities and rotations by 2e-10 rad about a random axis, below
+        # ZERO_ANGLE_EPS but with an axis of their own that must not survive
+        tiny = np.column_stack([np.ones(20), 1e-10 * rng.standard_normal((20, 3))])
+        quats[degenerate] = np.where((np.arange(20) % 2 == 0)[:, None], tiny,
+                                     [1.0, 0.0, 0.0, 0.0])[degenerate]
+        axes, angles = quaternion_series_to_axis_angle(quats)
+        assert np.array_equal(angles <= kinematics.ZERO_ANGLE_EPS, degenerate)
+        # the reference: the axes of the other rows alone, which carry
+        # nothing, then the per-row loop the conversion replaced
+        expected = np.empty((20, 3))
+        if not degenerate.all():
+            expected[~degenerate] = quaternion_series_to_axis_angle(quats[~degenerate])[0]
+        for i in np.flatnonzero(degenerate):
+            expected[i] = kinematics.DEFAULT_AXIS if i == 0 else expected[i - 1]
+        assert np.array_equal(axes, expected)
+
 
 class TestAdrEmbedding:
     def test_zero_angle_inner_shell(self):
@@ -165,7 +190,7 @@ class TestDecimate:
     def test_series_decimation_keeps_timestamps(self):
         values = 1.5 * np.eye(3)[np.zeros(10, dtype=int)]
         series = EmbeddingSeries(values, np.arange(10.0))
-        out = series.decimated(3)
+        out = decimate(series, 3)
         assert np.array_equal(out.timestamps, [0.0, 3.0, 6.0, 9.0])
 
 

@@ -69,6 +69,24 @@ class TestSimulateCommand:
         assert "--seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_noise_and_separation_flags(self, tmp_path):
+        assert run_cli("simulate", "--seed", "3", "--postures", "3", "--replications", "1",
+                       "--noise", "0.05", "--separation", "4", "--out", str(tmp_path)) == 0
+        session = simulate.generate_session(simulate.SessionConfig(
+            postures=3, replications=1, noise_scale=0.05, mean_separation=4.0, seed=3))
+        expected = tmp_path / "expected.csv"
+        kinematics.write_embedding_csv(expected, session.series)
+        assert (tmp_path / "session.csv").read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--noise", "0", "noise scale must be positive"),
+        ("--separation", "-1", "mean separation must be nonnegative"),
+    ], ids=["noise", "separation"])
+    def test_invalid_session_flag_exit_1(self, tmp_path, capsys, flag, value, message):
+        assert run_cli("simulate", "--seed", "1", flag, value, "--out", str(tmp_path)) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunCommand:
     def test_seed7_regression(self, session_dir, tmp_path):
@@ -106,6 +124,20 @@ class TestRunCommand:
         assert cfg["decimation"] == 1
         assert cfg["tolerance"] == 3
         assert cfg["log_threshold"] == 0.3
+
+    @pytest.mark.parametrize("flags,key,value", [
+        (["--prior", "noninformative"], "prior_kind", "noninformative"),
+        (["--no-postprocess"], "postprocess", False),
+        (["--sigma-epsilon", "1e-6"], "sigma_epsilon", 1e-6),
+        (["--log-threshold", "0.5"], "log_threshold", 0.5),
+    ], ids=["prior", "no_postprocess", "sigma_epsilon", "log_threshold"])
+    def test_flag_echoed(self, session_dir, tmp_path, flags, key, value):
+        out = tmp_path / "flag"
+        assert run_cli("run", "--input", str(session_dir / "session.csv"),
+                       "--embedding", "adr", "--decimation", "1", "--prune", "1e-12",
+                       *flags, "--out", str(out)) == 0
+        cfg = json.loads((out / "report.json").read_text())["config"]
+        assert cfg[key] == value and cfg[key] != getattr(PipelineConfig, key)
 
     def test_determinism_byte_identical(self, session_dir, tmp_path):
         # identical input, config and output location: rerunning must
@@ -277,7 +309,7 @@ class TestFullNight:
             _cli_env(), tmp_path / "peak")
         assert code == 0
         # the run's own memory, over what importing the CLI takes (the
-        # interpreter, numpy and scipy: 30.4 MB on Python 3.11, numpy 2.4):
+        # interpreter and numpy, no scipy: 30.4 MB on Python 3.11, numpy 2.4):
         # measured 9.0 MB at one BLAS thread, 13.6 MB with full-size
         # temporaries after inference; a dense (T+1)^2 posterior took 1.8 GB
         _, baseline_mb = cli_peak_mb([], _cli_env(), tmp_path / "baseline")
@@ -441,6 +473,15 @@ class TestSweep:
         assert rows[0] == "variant,seed,ppv,se,f1,pearson_r"
         assert len(rows) == 1 + 8
         assert json.loads((tmp_path / "sweep.json").read_text())["aggregate"]
+
+    def test_variants_flag(self, tmp_path):
+        rc = run_cli("sweep", "--out", str(tmp_path), "--sessions", "1",
+                     "--base-seed", "41", "--postures", "4", "--replications", "1",
+                     "--variants", "external_nopost,adr_post")
+        assert rc == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["external_nopost", "1"],
+                                                                ["adr_post", "1"]]
 
     def test_parallel_equals_serial(self, tmp_path):
         config = simulate.SessionConfig(postures=4, replications=1, seed=0)

@@ -11,7 +11,7 @@ from kinseg.segmentation import (
     lms_estimate,
     postprocess_runlength,
 )
-from util_data import banded_posterior, column_posterior, traced_peak
+from util_data import banded_posterior, column_posterior, dense_matrix, traced_peak
 
 
 def _random_columns(rng, n):
@@ -82,7 +82,7 @@ class TestLmsTrace:
         values = means[np.arange(size - 1) // 40] + 0.05 * rng.standard_normal((size - 1, 3))
         P = bocpd.infer_posterior(values, bocpd.informative_prior(), bocpd.HazardConfig(0.01),
                                   prune)
-        dense = np.arange(P.size) @ P.toarray()
+        dense = np.arange(P.size) @ dense_matrix(P)
         assert np.allclose(lms_estimate(P), dense, rtol=LMS_RTOL, atol=0.0)
 
 

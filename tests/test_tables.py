@@ -211,12 +211,54 @@ class TestMatrixWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the layout's int32 sort key and int64 argsort, then that argsort and
-        # the int32 order it is narrowed to, peak at 12 bytes a cell (12.4
-        # measured; 17.0 with a full-size stretch test and an int64 order);
-        # the writer adds its gathered writes and one row as Python floats,
-        # where converting every cell at once costs over 32 bytes a cell
+        # the layout's int64 argsort and the int32 order it is narrowed to
+        # peak at 12 bytes a cell (12.0 measured; 17.0 with a full-size
+        # stretch test and an int64 order); the writer adds its gathered
+        # writes and one row as Python floats, where converting every cell
+        # at once costs over 32 bytes a cell
         assert peak < 13 * len(cells), f"{peak / len(cells):.1f} bytes per stored cell"
+
+
+class TestMatrixLayout:
+    """``matrix_layout`` of a matrix too large to write, against the
+    row-major cells ``np.nonzero`` gives for the dense block of the rows and
+    columns that hold them."""
+
+    # n (n + 1) passes 2^31 at n = 46,341, and a column no longer fits in
+    # 2 bytes at n = 65,537
+    @pytest.mark.parametrize("chunk", [7, tables.CHUNK_CELLS])
+    @pytest.mark.parametrize("n", [50_000, 70_000])
+    def test_large_sparse_matrix(self, monkeypatch, n, chunk):
+        monkeypatch.setattr(tables, "CHUNK_CELLS", chunk)
+        rng = np.random.default_rng(n)
+        # the first and last rows and columns, runs of adjacent ones and
+        # some scattered ones, filled at random: about 300 cells
+        ends = [0, 1, 2, 46_339, 46_340, 46_341, n - 2, n - 1]
+        used_rows = np.unique([*ends, *rng.integers(0, n, 16)])
+        used_cols = np.unique([*ends, 3, 4, 30_000, 30_001, *rng.integers(0, n, 12)])
+        block = rng.random((len(used_rows), len(used_cols))) < 0.6
+        # the cells column by column, as a posterior stores them
+        local_cols, local_rows = np.nonzero(block.T)
+        rows = used_rows[local_rows].astype(np.min_scalar_type(n))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(used_cols[local_cols],
+                                                            minlength=n))))
+        # each cell's place in that storage, read in row-major order
+        storage = np.zeros(block.shape, dtype=int)
+        storage.T[block.T] = np.arange(len(rows))
+        block_rows, block_cols = np.nonzero(block)  # row-major
+        r, c = used_rows[block_rows], used_cols[block_cols]
+        starts = np.flatnonzero(np.concatenate(([True], (np.diff(r) != 0) | (np.diff(c) != 1))))
+        layout = tables.matrix_layout(n, rows, indptr)
+        assert layout.n == n
+        assert layout.order.dtype == np.int32
+        assert np.array_equal(layout.order, storage[block])
+        assert layout.bounds == [*starts.tolist(), len(rows)]
+        assert layout.first_cols == c[starts].tolist()
+        stretches_per_row = np.bincount(r[starts], minlength=n)
+        assert layout.row_stretches == [0, *np.cumsum(stretches_per_row).tolist()]
+        # a stretch that runs over adjacent columns, and rows of several stretches
+        assert np.diff(layout.bounds).max() > 1
+        assert np.diff(layout.row_stretches).max() > 1
 
 
 def _spying_open(sizes):

@@ -114,12 +114,21 @@ def unpack_symmetric(packed):
     return full
 
 
+def hypothesis_statistics(hyps):
+    """(means (d, h), scatters (d(d+1)/2, h)) of the live hypotheses of a
+    kinseg HypothesisSet, newest first, each scatter matrix as its upper
+    triangle in ``np.triu_indices`` order."""
+    return (hyps._means[:, hyps._row, hyps._state[0]],
+            hyps._scatters[:, hyps._row, hyps._state[0]])
+
+
 def reference_state(hyps):
     """A kinseg HypothesisSet as the reference kernel's state (counts are
     run lengths, hypotheses along the first axis)."""
+    means, scatters = hypothesis_statistics(hyps)
     return ReferenceHypothesisSet(
         hyps.prior, hyps.run_lengths.copy(), hyps.run_lengths.astype(float),
-        hyps.means.T.copy(), unpack_symmetric(hyps.scatters), hyps.log_weights.copy())
+        means.T.copy(), unpack_symmetric(scatters), hyps.log_weights.copy())
 
 
 def hypothesis_params(hyps, i):
@@ -367,6 +376,15 @@ def column_posterior(columns):
     indptr = np.concatenate(([0], np.cumsum([len(r) for r in run_lengths])))
     return RunLengthPosterior(len(columns), indptr, np.concatenate(run_lengths),
                               np.concatenate(weights))
+
+
+def dense_matrix(posterior):
+    """The dense (T+1) x (T+1) matrix of a ``RunLengthPosterior``, rows
+    indexed by run length and columns by time step."""
+    dense = np.zeros((posterior.size, posterior.size))
+    steps = np.repeat(np.arange(posterior.size), np.diff(posterior.indptr))
+    dense[posterior.run_lengths, steps] = posterior.weights
+    return dense
 
 
 def banded_posterior(size, band, seed=0):
