@@ -20,10 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kinseg import bocpd, cli, synthgen, tables
+from kinseg import bocpd, cli, kinematics, simulate, synthgen, tables
 
 SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-05, 0.0001, 1e16,
            9999999999999998.0, 1.0]
+# the edges of the fixed-notation range that the array writer formats
+# itself, integers at and past 2^53, a power-of-two significand and values
+# with no short exact form
+BOUNDARY = [np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), np.nextafter(1e16, 0.0),
+            2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** -13, 0.15, 4.35, 1 / 3]
 
 
 def reference_csv(header, rows, lineterminator="\r\n") -> bytes:
@@ -36,12 +41,15 @@ def reference_csv(header, rows, lineterminator="\r\n") -> bytes:
 
 
 def special_table(n_rows, width, seed=0):
-    """Every special value in every column, then random normals and
-    subnormals."""
+    """Every special value in every column, then every boundary value the
+    same way, then random normals and subnormals."""
     rng = np.random.default_rng(seed)
     cells = rng.standard_normal(n_rows * width) * 10.0 ** rng.integers(-320, 300, n_rows * width)
-    head = min(len(SPECIAL) * width, cells.size)
-    cells[:head] = np.resize(SPECIAL, head)
+    start = 0
+    for values in (SPECIAL, BOUNDARY):
+        head = min(len(values) * width, cells.size - start)
+        cells[start:start + head] = np.resize(values, head)
+        start += head
     return cells.reshape(n_rows, width)
 
 
@@ -56,10 +64,17 @@ class TestBlockWriter:
     @pytest.mark.parametrize("n_rows", [0, 1, 4096, 4097, 8193])
     def test_matches_csv_writer(self, tmp_path, n_rows, width):
         header = [f"c{i}" for i in range(width)]
-        rows = special_table(n_rows, width, seed=n_rows + width)
-        got = written(tmp_path, lambda p: tables.write_csv(p, header, rows))
-        assert got == reference_csv(header, rows)
-        assert got.count(b"\r\n") == n_rows + 1
+        special = special_table(n_rows, width, seed=n_rows + width)
+        timestamps = special.copy()
+        timestamps[:, 0] = np.arange(n_rows) / 30  # a 30 Hz session's t column
+        # every sign, exponent and NaN payload
+        bit_patterns = np.random.default_rng(n_rows + width).integers(
+            np.iinfo(np.int64).min, np.iinfo(np.int64).max, special.shape,
+            endpoint=True).view(np.float64)
+        for rows in (special, timestamps, bit_patterns):
+            got = written(tmp_path, lambda p: tables.write_csv(p, header, rows))
+            assert got == reference_csv(header, rows)
+            assert got.count(b"\r\n") == n_rows + 1
 
     def test_special_values(self, tmp_path):
         rows = np.array(SPECIAL).reshape(-1, 1)
@@ -73,6 +88,24 @@ class TestBlockWriter:
         rows = special_table(9000, 6)[::2, 1:4]  # a strided view
         got = written(tmp_path, lambda p: tables.write_csv(p, "abc", rows, lineterminator="\n"))
         assert got == reference_csv("abc", rows, lineterminator="\n")
+
+    def test_fast_path_reach(self, tmp_path, monkeypatch):
+        """Almost every cell of a 30 Hz session is formatted without
+        ``repr``: a writer that sent every cell there would keep the bytes
+        and lose the speed."""
+        config = simulate.SessionConfig(postures=6, replications=1, seed=1)
+        timestamps, axes, angles = simulate.generate_session_axis_angle(config, 100).axis_angle
+        fallback = []
+        repr_cells = tables._repr_cells
+        monkeypatch.setattr(tables, "_repr_cells",
+                            lambda cells: fallback.append(cells.size) or repr_cells(cells))
+        path = tmp_path / "session.csv"
+        rows = kinematics.write_axis_angle_csv(path, timestamps, axes, angles)
+        assert path.read_bytes() == reference_csv(
+            ("t", "x1", "x2", "x3", "x4"), np.column_stack([timestamps, axes, angles]))
+        # powers of two (t = 0.5, 1.0, 2.0, ...), magnitudes under 1e-4 and
+        # near-ties go to repr: 44 of 102,000 cells
+        assert 0 < sum(fallback) <= 0.001 * rows * 5
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,8 +137,7 @@ class TestProductWriter:
         axes = _axes(projection, resolution, dedupe)
         angles = synthgen.generate_angle_set(n_angles)
         header = ("a1", "a2", "a3", "angle_rad")
-        expected = written(tmp_path, lambda p: tables.write_csv(
-            p, header, synthgen.generate_synthetic_dataset(axes, angles)))
+        expected = reference_csv(header, synthgen.generate_synthetic_dataset(axes, angles))
         path = tmp_path / "product.csv"
         assert synthgen.export_dataset_csv(axes, angles, path) == len(axes) * len(angles)
         assert path.read_bytes() == expected
@@ -331,6 +363,16 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_directory(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            tables.write_csv(tmp_path / "missing" / "t.csv", ["a"], np.zeros((1, 1)))
+        path = tmp_path / "missing" / "t.csv"
+        with pytest.raises(FileNotFoundError) as raised:
+            tables.write_csv(path, ["a"], np.zeros((1, 1)))
+        assert raised.value.filename == str(path)  # not the temporary name
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_cli(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["synthgen", "--resolution", "3", "--angles", "4",
+                "--out", "sensor/orientations.csv"]
+        assert cli.main(argv) == cli.EXIT_IO
+        assert "No such file or directory: 'sensor/orientations.csv'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
