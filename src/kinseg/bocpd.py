@@ -91,17 +91,13 @@ class NormalWishartParams:
         return self.mu.shape[0]
 
 
-def informative_prior(dim: int = 3) -> NormalWishartParams:
+def informative_prior() -> NormalWishartParams:
     """Prior tuned for the constrained radial embedding shell."""
-    return NormalWishartParams(
-        mu=np.full(dim, 1e-4),
-        kappa=1.0 / 20.0,
-        nu=float(dim + 1),
-        sigma=5.0 * np.eye(dim),
-    )
+    return NormalWishartParams(mu=np.full(3, 1e-4), kappa=1.0 / 20.0, nu=4.0,
+                               sigma=5.0 * np.eye(3))
 
 
-def noninformative_prior(dim: int = 3, epsilon: float = 1e-8) -> NormalWishartParams:
+def noninformative_prior(epsilon: float = 1e-8) -> NormalWishartParams:
     """Nearly flat prior for unconstrained (external) embedding spaces.
 
     The nominal prior has a singular scale matrix; ``epsilon`` regularises
@@ -112,12 +108,8 @@ def noninformative_prior(dim: int = 3, epsilon: float = 1e-8) -> NormalWishartPa
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    return NormalWishartParams(
-        mu=np.full(dim, 1e-4),
-        kappa=1e-4,
-        nu=float(dim + 1),
-        sigma=epsilon * np.eye(dim),
-    )
+    return NormalWishartParams(mu=np.full(3, 1e-4), kappa=1e-4, nu=4.0,
+                               sigma=epsilon * np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -437,19 +429,22 @@ class RunLengthPosterior:
     use and kept (4 bytes a cell).
     """
 
-    size: int
     indptr: np.ndarray
     run_lengths: np.ndarray
     weights: np.ndarray
+
+    @property
+    def size(self) -> int:  # T + 1, the matrix's rows and columns
+        return len(self.indptr) - 1
 
     @functools.cached_property
     def layout(self) -> tables.MatrixLayout:
         return tables.matrix_layout(self.size, self.run_lengths, self.indptr)
 
 
-def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
+def infer_posterior(values, prior: NormalWishartParams, hazard: HazardConfig,
                     prune_threshold: float | None = None) -> RunLengthPosterior:
-    """Run-length posterior of an embedding series, one column per step.
+    """Run-length posterior of an embedding array, one column per step.
 
     Column k is P(run length | first k observations); column 0 is the
     point mass at zero. A run length can never exceed the elapsed steps,
@@ -459,7 +454,6 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
     the hypothesis set at column k has exactly k + 1 members. Weights that
     underflow to zero are not stored.
     """
-    values = getattr(series, "values", series)
     values = np.atleast_2d(np.asarray(values, dtype=float))
     hyps = HypothesisSet(prior)
     # the outputs grow in place (a realloc), so no copy of them is ever made;
@@ -492,7 +486,7 @@ def infer_posterior(series, prior: NormalWishartParams, hazard: HazardConfig,
         stored.extend(np.add.reduceat(nonzero, ends[:-1], dtype=int).tolist())
     for out in (run_lengths, weights):
         out.resize(filled, refcheck=False)
-    return RunLengthPosterior(len(values) + 1, np.cumsum(stored), run_lengths, weights)
+    return RunLengthPosterior(np.cumsum(stored), run_lengths, weights)
 
 
 def posterior_to_csv(posterior: RunLengthPosterior, path) -> None:

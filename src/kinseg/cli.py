@@ -42,24 +42,24 @@ def _output_dir(requested: str) -> str:
 
 
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--postures", type=int, default=12)
-    p.add_argument("--replications", type=int, default=2)
-    p.add_argument("--min-duration", type=int, default=20)
-    p.add_argument("--max-duration", type=int, default=60)
-    p.add_argument("--min-transition", type=int, default=2)
-    p.add_argument("--max-transition", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.12,
+    p.add_argument("--postures", type=int, default=simulate.SessionConfig.postures)
+    p.add_argument("--replications", type=int, default=simulate.SessionConfig.replications)
+    p.add_argument("--min-duration", type=int, default=simulate.SessionConfig.duration_range[0])
+    p.add_argument("--max-duration", type=int, default=simulate.SessionConfig.duration_range[1])
+    p.add_argument("--min-transition", type=int, default=simulate.SessionConfig.transition_range[0])
+    p.add_argument("--max-transition", type=int, default=simulate.SessionConfig.transition_range[1])
+    p.add_argument("--noise", type=float, default=simulate.SessionConfig.noise_scale,
                    help="within-posture noise scale sigma")
-    p.add_argument("--separation", type=float, default=3.0,
+    p.add_argument("--separation", type=float, default=simulate.SessionConfig.mean_separation,
                    help="minimum posture mean separation in sigma units")
 
 
 def _add_inference_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hazard", type=float, default=0.01)
-    p.add_argument("--log-threshold", type=float, default=0.3)
-    p.add_argument("--min-run", type=float, default=20.0)
-    p.add_argument("--tolerance", type=int, default=3)
-    p.add_argument("--sigma-epsilon", type=float, default=1e-8)
+    p.add_argument("--hazard", type=float, default=pipeline.PipelineConfig.hazard_p)
+    p.add_argument("--log-threshold", type=float, default=pipeline.PipelineConfig.log_threshold)
+    p.add_argument("--min-run", type=float, default=pipeline.PipelineConfig.min_run)
+    p.add_argument("--tolerance", type=int, default=pipeline.PipelineConfig.tolerance)
+    p.add_argument("--sigma-epsilon", type=float, default=pipeline.PipelineConfig.sigma_epsilon)
     p.add_argument("--prune", type=float, default=None,
                    help="hypothesis pruning threshold (default: off)")
 
@@ -150,6 +150,9 @@ def _cmd_run(args) -> int:
     )
     series = pipeline.load_embedding_series(config, data)
     del data  # the full-rate rows; the run keeps only the decimated series
+    if len(series) <= config.min_run:  # the estimate before step k's reset is at most k - 1
+        print(f"warning: decimation {config.decimation} leaves {len(series)} steps, no more "
+              f"than --min-run {config.min_run:g}, so no segment can be found", file=sys.stderr)
     report = pipeline.run_pipeline(config, series)
     n_segments = len(report["segments"])
     line = f"segments={n_segments} out={config.output_dir}"
@@ -170,7 +173,6 @@ def _cmd_sweep(args) -> int:
     if args.base_seed < 0:
         raise CliError("--base-seed must be non-negative")
     out = _output_dir(args.out)
-    os.makedirs(out, exist_ok=True)
     session_config = _session_config(args, args.base_seed)
     seeds = range(args.base_seed, args.base_seed + args.sessions)
     base = pipeline.PipelineConfig(
@@ -179,13 +181,14 @@ def _cmd_sweep(args) -> int:
         decimation=1,
         **_inference_settings(args),
     )
+    os.makedirs(out, exist_ok=True)  # once the settings are valid
     variants = pipeline.VARIANTS if args.variants == "all" else tuple(args.variants.split(","))
     sweep = pipeline.run_variant_sweep(
         session_config, seeds, base, variants=variants, workers=args.workers
     )
     pipeline.write_sweep_csv(sweep, os.path.join(out, "sweep.csv"))
     pipeline.write_session_rows_csv(sweep, os.path.join(out, "sessions.csv"))
-    pipeline.write_sweep_json(sweep, os.path.join(out, "sweep.json"))
+    tables.write_json(os.path.join(out, "sweep.json"), sweep)
     for row in sweep["aggregate"]:
         pearson = row["mean_pearson_r"]
         print(
@@ -224,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synthgen)
 
     p = sub.add_parser("simulate", help="generate a seeded labelled session")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=simulate.SessionConfig.seed)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--level", choices=("embedding", "axis-angle"), default="embedding")
-    p.add_argument("--decimation", type=int, default=100,
+    p.add_argument("--decimation", type=int, default=pipeline.PipelineConfig.decimation,
                    help="expansion factor for axis-angle level output")
     _add_session_flags(p)
     p.set_defaults(func=_cmd_simulate)
@@ -239,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="embedding source (default: inferred from the input header)")
     p.add_argument("--prior", choices=("informative", "noninformative"), default=None,
                    help="prior kind (default: paired with the embedding source)")
-    p.add_argument("--decimation", type=int, default=100)
+    p.add_argument("--decimation", type=int, default=pipeline.PipelineConfig.decimation)
     p.add_argument("--no-postprocess", action="store_true")
     p.add_argument("--labels", default=None, help="ground-truth labels CSV")
     _add_inference_flags(p)
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a segments CSV against labels")
     p.add_argument("--predicted", required=True, help="segments CSV from a run")
     p.add_argument("--labels", required=True, help="ground-truth labels CSV")
-    p.add_argument("--tolerance", type=int, default=3)
+    p.add_argument("--tolerance", type=int, default=pipeline.PipelineConfig.tolerance)
     p.add_argument("--out", default=None, help="optional JSON output path")
     p.set_defaults(func=_cmd_eval)
 

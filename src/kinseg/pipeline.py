@@ -46,10 +46,10 @@ class PipelineConfig:
     embedding_source: str = "adr"  # "adr" | "external"
     prior_kind: str = "informative"  # "informative" | "noninformative"
     decimation: int = 100
-    hazard_p: float = 0.01
+    hazard_p: float = bocpd.HazardConfig.p
     postprocess: bool = True
-    log_threshold: float = 0.3
-    min_run: float = 20.0
+    log_threshold: float = segmentation.DEFAULT_LOG_DROP
+    min_run: float = segmentation.DEFAULT_MIN_RUN
     tolerance: int = 3
     sigma_epsilon: float = 1e-8
     prune_threshold: float | None = None
@@ -60,7 +60,8 @@ class PipelineConfig:
             raise ValueError(f"unknown embedding source {self.embedding_source!r}")
         if self.prior_kind not in ("informative", "noninformative"):
             raise ValueError(f"unknown prior kind {self.prior_kind!r}")
-        for name in ("decimation", "hazard_p", "log_threshold", "min_run", "tolerance"):
+        for name in ("decimation", "hazard_p", "log_threshold", "min_run", "tolerance",
+                     "sigma_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.prune_threshold is not None and not 0.0 < self.prune_threshold < 1.0:
@@ -106,7 +107,7 @@ def infer_trace(values, config: PipelineConfig):
 
 
 def segment_trace(raw_trace, config: PipelineConfig):
-    """(postprocessed trace, retained events, segments) of a raw trace;
+    """(postprocessed trace, segments) of a raw trace;
     only the postprocess, ``log_threshold`` and ``min_run`` settings act.
 
     Detection reads the postprocessed trace when postprocessing is
@@ -120,12 +121,12 @@ def segment_trace(raw_trace, config: PipelineConfig):
     events = segmentation.detect_resets(detection_trace, config.log_threshold)
     retained = segmentation.filter_repetitive_resets(events, config.min_run)
     shifted = [replace(e, index=e.index - 1) for e in retained]
-    return post_trace, shifted, segmentation.build_segments(shifted)
+    return post_trace, segmentation.build_segments(shifted)
 
 
 def analyse_series(values, config: PipelineConfig):
     """``infer_trace`` then ``segment_trace``: (posterior, raw trace,
-    postprocessed trace, retained events, segments)."""
+    postprocessed trace, segments)."""
     posterior, raw_trace = infer_trace(values, config)
     return (posterior, raw_trace, *segment_trace(raw_trace, config))
 
@@ -142,9 +143,7 @@ def run_pipeline(config: PipelineConfig, series: kinematics.EmbeddingSeries) -> 
     ground_truth = (
         metrics.read_labels_csv(config.labels_path) if config.labels_path else None
     )
-    posterior, raw_trace, post_trace, retained, segments = analyse_series(
-        series.values, config
-    )
+    posterior, raw_trace, post_trace, segments = analyse_series(series.values, config)
 
     report = segmentation.segmentation_report(segments, raw_trace, post_trace, asdict(config))
     report["series"] = {
@@ -184,7 +183,7 @@ def _sweep_one_seed(args):
         config = replace(base, **variant_settings(variant))
         if config.prior_kind not in raw_traces:
             raw_traces[config.prior_kind] = infer_trace(session.series.values, config)[1]
-        *_, segments = segment_trace(raw_traces[config.prior_kind], config)
+        _, segments = segment_trace(raw_traces[config.prior_kind], config)
         scores = metrics.evaluate_segmentation(segments, session.segments, config.tolerance)
         rows.append({"variant": variant, "ppv": scores.ppv, "se": scores.se, "f1": scores.f1,
                      "pearson_r": scores.pearson, "seed": session_config.seed})
@@ -254,7 +253,3 @@ def write_session_rows_csv(sweep: dict, path) -> None:
     """One flat CSV row per (variant, session) for downstream aggregation."""
     _write_sweep_table(path, ("variant", "seed", "ppv", "se", "f1", "pearson_r"),
                        sweep["sessions"])
-
-
-def write_sweep_json(sweep: dict, path) -> None:
-    tables.write_json(path, sweep)

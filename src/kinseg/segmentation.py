@@ -182,16 +182,17 @@ def write_runlength_csv(path, raw, postprocessed) -> None:
 
 
 def segmentation_report(segments, raw_trace, post_trace, config: dict) -> dict:
-    """JSON-serialisable report echoing the configuration and trace stats."""
+    """JSON-serialisable report echoing the configuration and trace stats
+    of nonempty traces (``postprocess_runlength`` rejects an empty one)."""
     raw = np.asarray(raw_trace, dtype=float)
     post = np.asarray(post_trace, dtype=float)
     return {
         "config": dict(config),
         "trace": {
             "length": int(raw.size),
-            "max_raw": float(raw.max()) if raw.size else 0.0,
-            "max_postprocessed": float(post.max()) if post.size else 0.0,
-            "final_postprocessed": float(post[-1]) if post.size else 0.0,
+            "max_raw": float(raw.max()),
+            "max_postprocessed": float(post.max()),
+            "final_postprocessed": float(post[-1]),
         },
         "segments": [
             {"changepoint": s.changepoint, "duration": s.duration, "start": s.start}

@@ -97,7 +97,7 @@ def project_euclidean(vertices) -> np.ndarray:
     return out[0] if np.asarray(vertices).ndim == 1 else out
 
 
-def project_ellipsoidal(vertices, tol: float = SURFACE_TOL) -> np.ndarray:
+def project_ellipsoidal(vertices) -> np.ndarray:
     """Ellipsoidal projection of cube-surface points onto the unit sphere.
 
     Each face is mapped onto an ellipsoid chosen so that the face centre is
@@ -107,13 +107,13 @@ def project_ellipsoidal(vertices, tol: float = SURFACE_TOL) -> np.ndarray:
         x_out = x * sqrt(1 - y^2/2 - z^2/2 + y^2 z^2 / 3)
 
     and symmetrically for the other two components. Inputs must lie on the
-    cube surface (some coordinate equal to +-1 within ``tol``).
+    cube surface (some coordinate equal to +-1 within ``SURFACE_TOL``).
     """
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     absmax = np.abs(v).max(axis=-1)
-    if np.any(np.abs(absmax - 1.0) > tol):
+    if np.any(np.abs(absmax - 1.0) > SURFACE_TOL):
         raise ValueError("point is not on the cube surface (no coordinate at +-1)")
-    if np.any(np.abs(v) > 1.0 + tol):
+    if np.any(np.abs(v) > 1.0 + SURFACE_TOL):
         raise ValueError("cube-surface coordinates must lie within [-1, 1]")
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     x2, y2, z2 = x * x, y * y, z * z
@@ -128,10 +128,11 @@ def project_ellipsoidal(vertices, tol: float = SURFACE_TOL) -> np.ndarray:
     return out[0] if np.asarray(vertices).ndim == 1 else out
 
 
-def dedupe_axes(axes, tol: float = 1e-9) -> np.ndarray:
-    """Drop near-duplicate axes (analysis aid; the dataset keeps duplicates)."""
+def dedupe_axes(axes) -> np.ndarray:
+    """Drop axes that agree with an earlier one on a 1e-9 grid (analysis
+    aid; the dataset keeps duplicates)."""
     pts = np.asarray(axes, dtype=float)
-    rounded = np.round(pts / tol) * tol
+    rounded = np.round(pts / 1e-9) * 1e-9
     _, idx = np.unique(rounded, axis=0, return_index=True)
     return pts[np.sort(idx)]
 

@@ -283,7 +283,7 @@ def write_csv(path, header, rows, lineterminator="\r\n") -> None:
     _write_table(path, header, lineterminator, write_body)
 
 
-def write_product_csv(path, header, left, right, lineterminator="\r\n") -> None:
+def write_product_csv(path, header, left, right) -> None:
     """Write the Cartesian product of the rows of two 2D float arrays.
 
     Row ``i * len(right) + j`` is row ``i`` of ``left`` followed by row
@@ -295,13 +295,13 @@ def write_product_csv(path, header, left, right, lineterminator="\r\n") -> None:
 
     prefixes = row_texts(left, ",")
     # prefix.join(["", *lines]) puts the prefix in front of every line
-    lines = ["", *row_texts(right, lineterminator)]
+    lines = ["", *row_texts(right, "\r\n")]
 
     def write_body(fh, writer):
         for prefix in prefixes:
             fh.write(prefix.join(lines))
 
-    _write_table(path, header, lineterminator, write_body)
+    _write_table(path, header, "\r\n", write_body)
 
 
 class MatrixLayout(NamedTuple):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_t
 
-from kinseg import bocpd, segmentation, simulate, tables
+from kinseg import bocpd, pipeline, segmentation, simulate, tables
 from kinseg.bocpd import (
     HazardConfig,
     HypothesisSet,
@@ -391,13 +391,6 @@ class TestRunInference:
         with pytest.raises(ValueError):
             noninformative_prior(epsilon=0.0)
 
-    def test_accepts_embedding_series(self):
-        from kinseg.kinematics import EmbeddingSeries
-        values = 1.5 * np.eye(3)[np.zeros(5, dtype=int)]
-        series = EmbeddingSeries(values, np.arange(5.0))
-        P = dense_matrix(infer_posterior(series, informative_prior(), HazardConfig(0.01)))
-        assert P.shape == (6, 6)
-
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_other_dimensions_supported(self, d):
         rng = np.random.default_rng(23)
@@ -408,6 +401,50 @@ class TestRunInference:
         B = brute_force_posterior(vals, prior, hz)
         assert np.abs(P - B).max() < 1e-9
         assert np.allclose(P.sum(axis=0), 1.0, atol=1e-12)
+
+
+class TestPruningError:
+    """The pruned path's error against the exact one on steps 5,000-6,000
+    of the seed-1 night (``simulate --seed 1 --postures 30 --replications
+    8``), which reproduce the whole night's error at 1e-12: the pruned
+    path loses a long-run hypothesis and then tracks a run of about 25
+    steps where the exact path tracks one of about 78. Bounds are per
+    threshold; the measured values are in the comments."""
+
+    # threshold -> (LMS trace bound in steps, duration bound in samples)
+    BOUNDS = {
+        1e-30: (1e-12, 1e-12),  # 3.6e-14, 1.4e-14
+        1e-20: (1e-6, 1e-12),  # 1.07e-7, 1.4e-14
+        1e-12: (60.0, 2.5),  # 53.5 (78 steps off by more than 1), 2.47
+    }
+
+    @pytest.fixture(scope="class")
+    def night_slice(self):
+        config = simulate.SessionConfig(seed=1, postures=30, replications=8)
+        return simulate.generate_session(config).series.values[5000:6000]
+
+    def _trace_and_segments(self, values, prune):
+        posterior = infer_posterior(values, informative_prior(), HazardConfig(0.01), prune)
+        trace = segmentation.lms_estimate(posterior)
+        config = pipeline.PipelineConfig(input_path="<slice>", output_dir="-", decimation=1)
+        return trace, pipeline.segment_trace(trace, config)[1]
+
+    @pytest.fixture(scope="class")
+    def exact(self, night_slice):
+        return self._trace_and_segments(night_slice, None)
+
+    @pytest.mark.parametrize("prune", BOUNDS)
+    def test_trace_and_segment_error(self, night_slice, exact, prune):
+        trace_bound, duration_bound = self.BOUNDS[prune]
+        exact_trace, exact_segments = exact
+        trace, segments = self._trace_and_segments(night_slice, prune)
+        assert np.abs(trace - exact_trace).max() <= trace_bound
+        assert len(exact_segments) == 20
+        assert ([s.changepoint for s in segments]
+                == [s.changepoint for s in exact_segments])
+        durations = np.array([s.duration for s in segments])
+        exact_durations = np.array([s.duration for s in exact_segments])
+        assert np.abs(durations - exact_durations).max() <= duration_bound
 
 
 class TestBruteForceOracle:

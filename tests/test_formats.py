@@ -8,7 +8,7 @@ depending on any numerical result.
 import numpy as np
 import pytest
 
-from kinseg import kinematics, metrics, pipeline, segmentation, simulate, synthgen
+from kinseg import kinematics, metrics, pipeline, segmentation, simulate, synthgen, tables
 from kinseg.kinematics import EmbeddingSeries
 from kinseg.metrics import GroundTruthSegment
 from kinseg.segmentation import Segment
@@ -71,7 +71,7 @@ WRITERS = {
         b'{\n  "a": [\n    0.1,\n    null,\n    true\n  ],\n  "b": 1\n}\n',
     ),
     "sweep_json": (
-        lambda p: pipeline.write_sweep_json({"sessions": [], "aggregate": [{"f1": 0.5}]}, p),
+        lambda p: tables.write_json(p, {"sessions": [], "aggregate": [{"f1": 0.5}]}),
         b'{\n  "aggregate": [\n    {\n      "f1": 0.5\n    }\n  ],\n  "sessions": []\n}\n',
     ),
 }

@@ -139,6 +139,30 @@ class TestRunCommand:
         cfg = json.loads((out / "report.json").read_text())["config"]
         assert cfg[key] == value and cfg[key] != getattr(PipelineConfig, key)
 
+    def test_nonpositive_sigma_epsilon_exit_1(self, session_dir, tmp_path, capsys):
+        with pytest.raises(ValueError, match="sigma_epsilon must be positive"):
+            PipelineConfig(input_path="x", output_dir="y", sigma_epsilon=0)
+        out = tmp_path / "o"
+        assert run_cli("run", "--input", str(session_dir / "session.csv"),
+                       "--embedding", "adr", "--decimation", "1", "--sigma-epsilon", "-1",
+                       "--out", str(out)) == 1
+        assert "sigma_epsilon must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_series_warns(self, session_dir, tmp_path, capsys):
+        # seed 7's embedding-level session (922 samples) keeps 10 steps at the
+        # default --decimation 100: no estimate before a reset can reach the
+        # minimum run of 20, so the run warns, and still exits 0
+        args = ("run", "--input", str(session_dir / "session.csv"),
+                "--labels", str(session_dir / "labels.csv"), "--embedding", "adr")
+        assert run_cli(*args, "--out", str(tmp_path / "short")) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("segments=0 ")
+        assert err == ("warning: decimation 100 leaves 10 steps, no more than --min-run 20, "
+                       "so no segment can be found\n")
+        assert run_cli(*args, "--decimation", "1", "--out", str(tmp_path / "full")) == 0
+        assert capsys.readouterr().err == ""
+
     def test_determinism_byte_identical(self, session_dir, tmp_path):
         # identical input, config and output location: rerunning must
         # reproduce every artifact byte for byte (the config echo contains
@@ -504,6 +528,14 @@ class TestSweep:
         rc = run_cli("sweep", "--out", str(out), "--sessions", "1", "--base-seed", "-1")
         assert rc == 1
         assert "--base-seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonpositive_sigma_epsilon_exit_1(self, tmp_path, capsys):
+        # rejected before any inference, with every variant
+        out = tmp_path / "o"
+        rc = run_cli("sweep", "--out", str(out), "--sessions", "1", "--sigma-epsilon", "0")
+        assert rc == 1
+        assert "sigma_epsilon must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_variant_rejected(self, tmp_path):

@@ -146,9 +146,8 @@ class TestProductWriter:
         left = special_table(7, 2)
         right = special_table(5, 3, seed=1)
         stacked = np.hstack([np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))])
-        got = written(tmp_path, lambda p: tables.write_product_csv(p, "abcde", left, right,
-                                                                  lineterminator="\n"))
-        assert got == reference_csv("abcde", stacked, lineterminator="\n")
+        got = written(tmp_path, lambda p: tables.write_product_csv(p, "abcde", left, right))
+        assert got == reference_csv("abcde", stacked)
 
     @pytest.mark.parametrize("left_rows,right_rows", [(0, 3), (3, 0)])
     def test_empty_factor_writes_header_only(self, tmp_path, left_rows, right_rows):

@@ -374,8 +374,7 @@ def column_posterior(columns):
     run_lengths = [np.asarray(r, dtype=int) for r, _ in columns]
     weights = [np.asarray(w, dtype=float) for _, w in columns]
     indptr = np.concatenate(([0], np.cumsum([len(r) for r in run_lengths])))
-    return RunLengthPosterior(len(columns), indptr, np.concatenate(run_lengths),
-                              np.concatenate(weights))
+    return RunLengthPosterior(indptr, np.concatenate(run_lengths), np.concatenate(weights))
 
 
 def dense_matrix(posterior):
@@ -395,7 +394,7 @@ def banded_posterior(size, band, seed=0):
     indptr = np.concatenate(([0], np.cumsum(counts)))
     run_lengths = (np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)).astype(np.uint16)
     weights = np.random.default_rng(seed).random(indptr[-1])
-    return RunLengthPosterior(size, indptr, run_lengths, weights)
+    return RunLengthPosterior(indptr, run_lengths, weights)
 
 
 def traced_peak(fn):
