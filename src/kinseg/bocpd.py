@@ -120,7 +120,7 @@ class HazardConfig:
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
-            raise ValueError(f"changepoint probability must be in (0, 1), got {self.p}")
+            raise ValueError(f"hazard changepoint probability must be in (0, 1), got {self.p}")
 
 
 def _log_student_t(scale: np.ndarray, diff: np.ndarray, df, half, const):

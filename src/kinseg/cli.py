@@ -89,10 +89,6 @@ def _session_config(args, seed: int) -> simulate.SessionConfig:
 
 
 def _cmd_synthgen(args) -> int:
-    if args.resolution < 2:
-        raise CliError("resolution must be at least 2")
-    if args.angles < 1:
-        raise CliError("angle count must be at least 1")
     mesh = synthgen.build_cube_mesh(args.resolution)
     project = (
         synthgen.project_ellipsoidal
@@ -111,19 +107,18 @@ def _cmd_synthgen(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.seed < 0:
-        raise CliError("--seed must be non-negative")
-    out = _output_dir(args.out)
-    os.makedirs(out, exist_ok=True)
     config = _session_config(args, args.seed)
-    data_path = os.path.join(out, "session.csv")
     if args.level == "embedding":
         session = simulate.generate_session(config)
-        rows = kinematics.write_embedding_csv(data_path, session.series)
     else:
         session = simulate.generate_session_axis_angle(config, factor=args.decimation)
-        timestamps, axes, angles = session.axis_angle
-        rows = kinematics.write_axis_angle_csv(data_path, timestamps, axes, angles)
+    out = _output_dir(args.out)
+    os.makedirs(out, exist_ok=True)  # once the session exists
+    data_path = os.path.join(out, "session.csv")
+    if session.axis_angle is None:
+        rows = kinematics.write_embedding_csv(data_path, session.series)
+    else:
+        rows = kinematics.write_axis_angle_csv(data_path, *session.axis_angle)
     labels_path = os.path.join(out, "labels.csv")
     simulate.write_labels_csv(labels_path, session.segments)
     # samples are in the labels' units, rows are what session.csv holds
@@ -166,12 +161,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.sessions < 1:
-        raise CliError("--sessions must be at least 1")
-    if args.workers < 1:
-        raise CliError("--workers must be at least 1")
-    if args.base_seed < 0:
-        raise CliError("--base-seed must be non-negative")
     out = _output_dir(args.out)
     session_config = _session_config(args, args.base_seed)
     seeds = range(args.base_seed, args.base_seed + args.sessions)
@@ -181,11 +170,11 @@ def _cmd_sweep(args) -> int:
         decimation=1,
         **_inference_settings(args),
     )
-    os.makedirs(out, exist_ok=True)  # once the settings are valid
     variants = pipeline.VARIANTS if args.variants == "all" else tuple(args.variants.split(","))
     sweep = pipeline.run_variant_sweep(
         session_config, seeds, base, variants=variants, workers=args.workers
     )
+    os.makedirs(out, exist_ok=True)  # once the sweep has run
     pipeline.write_sweep_csv(sweep, os.path.join(out, "sweep.csv"))
     pipeline.write_session_rows_csv(sweep, os.path.join(out, "sessions.csv"))
     tables.write_json(os.path.join(out, "sweep.json"), sweep)
@@ -199,8 +188,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.tolerance <= 0:
-        raise CliError("--tolerance must be positive")
     segments = segmentation.read_segments_csv(args.predicted)
     ground_truth = metrics.read_labels_csv(args.labels)
     evaluation = metrics.evaluate_segmentation(segments, ground_truth, args.tolerance)

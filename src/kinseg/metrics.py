@@ -158,8 +158,10 @@ def evaluate_segmentation(segments, ground_truth, tolerance: int = 3) -> Evaluat
 
     Changepoints are the segment ends; durations of matched pairs feed
     the Pearson correlation (None when fewer than two pairs or when a
-    side has zero variance).
+    side has zero variance). ``tolerance`` must be positive.
     """
+    if tolerance <= 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     by_changepoint = {seg.changepoint: seg for seg in segments}
     match = match_changepoints(sorted(by_changepoint), ground_truth, tolerance)
     ppv, se, f1 = detection_metrics(match)

@@ -60,10 +60,10 @@ class PipelineConfig:
             raise ValueError(f"unknown embedding source {self.embedding_source!r}")
         if self.prior_kind not in ("informative", "noninformative"):
             raise ValueError(f"unknown prior kind {self.prior_kind!r}")
-        for name in ("decimation", "hazard_p", "log_threshold", "min_run", "tolerance",
-                     "sigma_epsilon"):
+        for name in ("decimation", "log_threshold", "min_run", "tolerance", "sigma_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        bocpd.HazardConfig(self.hazard_p)
         if self.prune_threshold is not None and not 0.0 < self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in (0, 1)")
 
@@ -203,7 +203,8 @@ def run_variant_sweep(
     variants reuse the same embedding values with the noninformative
     prior), and variants with the same prior share its raw trace. Returns
     per-session rows and per-variant means; row order is deterministic
-    regardless of worker scheduling.
+    regardless of worker scheduling. Every argument is checked before
+    the first session runs.
     """
     variants = tuple(variants)
     for v in variants:
@@ -211,6 +212,10 @@ def run_variant_sweep(
     jobs = [
         (replace(session_config, seed=int(seed)), variants, base) for seed in seeds
     ]
+    if not jobs:
+        raise ValueError("sessions must be at least 1: no seeds given")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if workers > 1:
         # imported here: the pool machinery costs every CLI process ~20 ms to import
         from concurrent.futures import ProcessPoolExecutor

@@ -73,6 +73,8 @@ class SessionConfig:
             raise ValueError("noise scale must be positive")
         if self.mean_separation < 0.0:
             raise ValueError("mean separation must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

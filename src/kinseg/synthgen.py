@@ -13,18 +13,9 @@ import numpy as np
 
 from . import tables
 
-# Face order is fixed: +x, -x, +y, -y, +z, -z.
-FACE_NORMALS = (
-    (1, 0, 0),
-    (-1, 0, 0),
-    (0, 1, 0),
-    (0, -1, 0),
-    (0, 0, 1),
-    (0, 0, -1),
-)
-
 # Right-handed in-plane bases: u cross v equals the face normal. The first
 # grid coordinate runs along u, the second along v, both spanning [-1, 1].
+# The key order is the face order: +x, -x, +y, -y, +z, -z.
 _FACE_TANGENTS = {
     (1, 0, 0): ((0, 1, 0), (0, 0, 1)),
     (-1, 0, 0): ((0, 0, 1), (0, 1, 0)),
@@ -33,6 +24,7 @@ _FACE_TANGENTS = {
     (0, 0, 1): ((1, 0, 0), (0, 1, 0)),
     (0, 0, -1): ((0, 1, 0), (1, 0, 0)),
 }
+FACE_NORMALS = tuple(_FACE_TANGENTS)
 
 SURFACE_TOL = 1e-9
 

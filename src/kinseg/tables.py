@@ -10,8 +10,8 @@ once. A dense matrix with few stored cells is written in binary from a
 row layout of its stored cells that callers can keep (4 bytes a stored
 cell), one row of cells converted to Python scalars at a time: zero
 stretches are slices of one zero row, a row with no stored cell is one
-prebuilt line, and lines are gathered into writes of ``WRITE_BYTES``
-or more. Every file is written to a temporary name beside its path and
+prebuilt line, and lines go through a buffer of ``WRITE_BYTES``.
+Every file is written to a temporary name beside its path and
 renamed into place, so a failed write leaves no partial file. Tables
 are read back with a header check and a vectorised numeric parse that
 rejects malformed, ragged and non-finite rows with the path. JSON is
@@ -31,7 +31,7 @@ import numpy as np
 
 #: Rows of a float array formatted per ``write`` call.
 BLOCK_ROWS = 4096
-#: Bytes of a dense matrix's lines gathered before a ``write`` call.
+#: Buffer size, in bytes, of a dense matrix's file.
 WRITE_BYTES = 1 << 18
 #: Stored cells of a sparse matrix that a pass over them handles at a time.
 CHUNK_CELLS = 1 << 14
@@ -365,7 +365,7 @@ def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:
     stretch of adjacent stored cells in a row is formatted in one go,
     each zero stretch is a slice of one zero row, and a row with no
     stored cell is one prebuilt line. Lines go to the file in binary,
-    gathered into writes of at least ``WRITE_BYTES``.
+    through a buffer of ``WRITE_BYTES``.
     """
     n, order, row_stretches, first_cols, bounds = layout
     cells = np.asarray(cells)
@@ -373,29 +373,22 @@ def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:
     empty = (zeros[:-len(sep)] + "\n").encode()
 
     def write(tmp):
-        with open(tmp, "wb") as fh:
-            pending = [header.encode()]
-            size = len(pending[0])
+        with open(tmp, "wb", buffering=WRITE_BYTES) as fh:
+            fh.write(header.encode())
             for r in range(n):
                 if row_stretches[r] == row_stretches[r + 1]:
-                    line = empty
-                else:
-                    first, last = row_stretches[r], row_stretches[r + 1]
-                    start, pieces, filled = bounds[first], [], 0
-                    row = cells[order[start:bounds[last]]].tolist()
-                    for s in range(first, last):
-                        a, b = bounds[s] - start, bounds[s + 1] - start
-                        pieces.append(zeros[:(first_cols[s] - filled) * width])
-                        pieces.append(item * (b - a) % tuple(row[a:b]))
-                        filled = first_cols[s] + b - a
-                    pieces.append(zeros[:(n - filled) * width])
-                    line = ("".join(pieces)[:-len(sep)] + "\n").encode()
-                pending.append(line)
-                size += len(line)
-                if size >= WRITE_BYTES:
-                    fh.write(b"".join(pending))
-                    pending, size = [], 0
-            fh.write(b"".join(pending))
+                    fh.write(empty)
+                    continue
+                first, last = row_stretches[r], row_stretches[r + 1]
+                start, pieces, filled = bounds[first], [], 0
+                row = cells[order[start:bounds[last]]].tolist()
+                for s in range(first, last):
+                    a, b = bounds[s] - start, bounds[s + 1] - start
+                    pieces.append(zeros[:(first_cols[s] - filled) * width])
+                    pieces.append(item * (b - a) % tuple(row[a:b]))
+                    filled = first_cols[s] + b - a
+                pieces.append(zeros[:(n - filled) * width])
+                fh.write(("".join(pieces)[:-len(sep)] + "\n").encode())
 
     atomic_write(path, write)
 

@@ -171,6 +171,11 @@ class TestPearson:
 
 
 class TestEvaluateSegmentation:
+    @pytest.mark.parametrize("tolerance", [0, -1])
+    def test_rejects_nonpositive_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            evaluate_segmentation([Segment(10, 10.0)], [seg(0, 10)], tolerance)
+
     def test_matched_durations_feed_correlation(self):
         gt = [seg(0, 30), seg(33, 80), seg(85, 110)]
         predicted = [Segment(30, 29.5), Segment(80, 46.0), Segment(110, 24.0)]

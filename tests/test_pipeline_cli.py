@@ -66,7 +66,7 @@ class TestSimulateCommand:
     def test_negative_seed_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run_cli("simulate", "--seed", "-1", "--out", str(out)) == 1
-        assert "--seed must be non-negative" in capsys.readouterr().err
+        assert "seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_noise_and_separation_flags(self, tmp_path):
@@ -138,6 +138,10 @@ class TestRunCommand:
                        *flags, "--out", str(out)) == 0
         cfg = json.loads((out / "report.json").read_text())["config"]
         assert cfg[key] == value and cfg[key] != getattr(PipelineConfig, key)
+
+    def test_hazard_checked_with_the_config(self):
+        with pytest.raises(ValueError, match="hazard changepoint probability"):
+            PipelineConfig(input_path="x", output_dir="y", hazard_p=1.5)
 
     def test_nonpositive_sigma_epsilon_exit_1(self, session_dir, tmp_path, capsys):
         with pytest.raises(ValueError, match="sigma_epsilon must be positive"):
@@ -425,7 +429,7 @@ class TestEvalCommand:
         rc = run_cli("eval", "--predicted", str(segments), "--labels",
                      str(session_dir / "labels.csv"), "--tolerance", value, "--out", str(out))
         assert rc == 1
-        assert "--tolerance must be positive" in capsys.readouterr().err
+        assert "tolerance must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     @BAD_LABELS
@@ -520,14 +524,14 @@ class TestSweep:
         out = tmp_path / "o"
         rc = run_cli("sweep", "--out", str(out), "--sessions", "1", flag, value)
         assert rc == 1
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert f"{flag[2:]} must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_base_seed_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = run_cli("sweep", "--out", str(out), "--sessions", "1", "--base-seed", "-1")
         assert rc == 1
-        assert "--base-seed must be non-negative" in capsys.readouterr().err
+        assert "seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nonpositive_sigma_epsilon_exit_1(self, tmp_path, capsys):
@@ -538,11 +542,45 @@ class TestSweep:
         assert "sigma_epsilon must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds,workers,message", [
+        ([], 1, "sessions must be at least 1"),
+        ([1], 0, "workers must be at least 1"),
+    ], ids=["no_seeds", "no_workers"])
+    def test_sweep_arguments_checked_before_any_session(self, tmp_path, monkeypatch, seeds,
+                                                        workers, message):
+        monkeypatch.setattr(simulate, "generate_session", None)  # no session may run
+        config = simulate.SessionConfig(seed=0)
+        base = PipelineConfig(input_path="<simulated>", output_dir=str(tmp_path), decimation=1)
+        with pytest.raises(ValueError, match=message):
+            pipeline.run_variant_sweep(config, seeds, base, workers=workers)
+
     def test_unknown_variant_rejected(self, tmp_path):
         config = simulate.SessionConfig(seed=0)
         base = PipelineConfig(input_path="<simulated>", output_dir=str(tmp_path), decimation=1)
         with pytest.raises(ValueError):
             pipeline.run_variant_sweep(config, [1], base, variants=("bogus",))
+
+
+# Invalid settings of the commands that make an output directory, and
+# the text that names the setting on stderr.
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--sessions", "1", "--variants", "bogus"], "unknown variant 'bogus'"),
+    (["sweep", "--sessions", "1", "--hazard", "1.5"], "hazard changepoint probability"),
+    (["sweep", "--sessions", "0"], "sessions must be at least 1"),
+    (["sweep", "--sessions", "1", "--workers", "0"], "workers must be at least 1"),
+    (["sweep", "--sessions", "1", "--base-seed", "-1"], "seed must be non-negative"),
+    (["simulate", "--postures", "0"], "postures and replications must be at least 1"),
+    (["simulate", "--level", "axis-angle", "--decimation", "0"], "expansion factor"),
+    (["simulate", "--postures", "200", "--separation", "50"], "could not place 200 posture"),
+    (["simulate", "--seed", "-1"], "seed must be non-negative"),
+], ids=["sweep_variants", "sweep_hazard", "sweep_sessions", "sweep_workers",
+        "sweep_base_seed", "simulate_postures", "simulate_decimation",
+        "simulate_separation", "simulate_seed"])
+def test_invalid_setting_exit_1_leaves_no_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSynthgenCommand:

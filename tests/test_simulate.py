@@ -21,6 +21,10 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             SessionConfig(mean_separation=-1.0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SessionConfig(seed=-1)
+
 
 class TestGenerateSession:
     def test_segment_count(self):

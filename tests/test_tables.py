@@ -187,12 +187,10 @@ MASKS = {
 class TestMatrixWriter:
     """``write_matrix_text`` against every cell of the dense matrix."""
 
-    # each size is both the bytes gathered per write and the cells of a
-    # chunk of the layout's passes
+    # each size is the cells of a chunk of the layout's passes
     @pytest.mark.parametrize("size", [1, 3, 64, tables.WRITE_BYTES])
     @pytest.mark.parametrize("name", list(MASKS))
     def test_matches_dense_reference(self, tmp_path, monkeypatch, name, size):
-        monkeypatch.setattr(tables, "WRITE_BYTES", size)
         monkeypatch.setattr(tables, "CHUNK_CELLS", size)
         mask = MASKS[name]
         n = len(mask)
@@ -224,7 +222,7 @@ class TestMatrixWriter:
             write(P, path)
             file_bytes = path.stat().st_size
             assert sum(sizes) == file_bytes
-            # not one write per line
+            # not one system write per line
             assert len(sizes) <= file_bytes // tables.WRITE_BYTES + 2 < P.size
 
     def test_peak_memory_per_stored_cell(self, tmp_path):
@@ -293,16 +291,17 @@ class TestMatrixLayout:
 
 
 def _spying_open(sizes):
-    """``open`` whose files append the length of every write to ``sizes``."""
+    """Binary ``open`` whose files append the length of every write that
+    leaves the buffer for the operating system to ``sizes``."""
     def fake_open(path, *args, **kwargs):
         fh = open(path, *args, **kwargs)
-        real_write = fh.write
+        real_write = fh.raw.write
 
         def write(data):
             sizes.append(len(data))
             return real_write(data)
 
-        fh.write = write
+        fh.raw.write = write
         return fh
 
     return fake_open
@@ -347,8 +346,7 @@ class TestAtomicWrites:
         P = bocpd.infer_posterior(np.zeros((3, 3)), bocpd.informative_prior(),
                                   bocpd.HazardConfig(0.01))
         (tmp_path / "posterior.csv").write_bytes(b"old\n")
-        # one line per write, so the failure lands mid-file
-        monkeypatch.setattr(tables, "WRITE_BYTES", 1)
+        # the header goes through, the first line's write fails
         monkeypatch.setattr(tables, "open", _failing_open(1), raising=False)
         with pytest.raises(OSError):
             bocpd.posterior_to_csv(P, tmp_path / "posterior.csv")
