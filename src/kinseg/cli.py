@@ -108,10 +108,11 @@ def _cmd_synthgen(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _session_config(args, args.seed)
+    factor = kinematics.integer_factor("expansion factor", args.decimation)
     if args.level == "embedding":
         session = simulate.generate_session(config)
     else:
-        session = simulate.generate_session_axis_angle(config, factor=args.decimation)
+        session = simulate.generate_session_axis_angle(config, factor=factor)
     out = _output_dir(args.out)
     os.makedirs(out, exist_ok=True)  # once the session exists
     data_path = os.path.join(out, "session.csv")

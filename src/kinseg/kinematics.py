@@ -58,7 +58,12 @@ def quaternion_series_to_axis_angle(quats):
     q = np.atleast_2d(np.asarray(quats, dtype=float))
     if q.shape[-1] != 4:
         raise ValueError("quaternion series must have four columns")
-    norms = np.linalg.norm(q, axis=-1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(q, axis=-1)
+    huge = ~np.isfinite(norms)
+    if huge.any():  # rows whose squares overflow are scaled by their largest component first
+        q = q / np.where(huge, np.abs(q).max(axis=-1), 1.0)[:, None]
+        norms = np.linalg.norm(q, axis=-1)
     zero = np.flatnonzero(norms < 1e-12)
     if zero.size:
         raise ValueError(f"quaternion series contains a zero quaternion at data row {zero[0] + 1}")
@@ -77,6 +82,13 @@ def quaternion_series_to_axis_angle(quats):
     return axes, angles
 
 
+def integer_factor(name: str, factor) -> int:
+    """``factor`` as an int; ValueError naming ``name`` unless it is an integer >= 1."""
+    if int(factor) != factor or factor < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {factor}")
+    return int(factor)
+
+
 def adr_embed(axes, angles) -> np.ndarray:
     """Embed axis-angle orientations into the radial shell.
 
@@ -87,10 +99,12 @@ def adr_embed(axes, angles) -> np.ndarray:
     axes = np.asarray(axes, dtype=float)
     angles = np.asarray(angles, dtype=float)
     norms = np.linalg.norm(axes, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("rotation axes must be unit vectors")
-    if np.any((angles < -1e-12) | (angles > np.pi + 1e-12)):
-        raise ValueError("rotation angles must lie in [0, pi]")
+    bad = np.abs(norms - 1.0) > 1e-9
+    if np.any(bad):
+        raise ValueError(f"rotation axis at data row {np.argmax(bad) + 1} is not a unit vector")
+    bad = (angles < -1e-12) | (angles > np.pi + 1e-12)
+    if np.any(bad):
+        raise ValueError(f"rotation angle at data row {np.argmax(bad) + 1} lies outside [0, pi]")
     radius = INNER_RADIUS + np.clip(angles, 0.0, np.pi) / np.pi
     return radius[..., None] * axes
 
@@ -132,8 +146,10 @@ class EmbeddingSeries:
                              f"{repeated[0] + 2} is not after data row {repeated[0] + 1}")
         if self.source == "adr" and len(self.values):
             norms = np.linalg.norm(self.values, axis=-1)
-            if np.any((norms < INNER_RADIUS - SHELL_TOL) | (norms > OUTER_RADIUS + SHELL_TOL)):
-                raise ValueError("constrained embedding outside the [1, 2] shell")
+            bad = (norms < INNER_RADIUS - SHELL_TOL) | (norms > OUTER_RADIUS + SHELL_TOL)
+            if np.any(bad):
+                raise ValueError("constrained embedding outside the [1, 2] shell at data row "
+                                 f"{np.argmax(bad) + 1}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -147,9 +163,7 @@ def decimate(series, factor: int):
     alongside) or a bare array. The kept samples are copied, not views, so
     the full-rate input can be freed.
     """
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"decimation factor must be an integer >= 1, got {factor}")
-    factor = int(factor)
+    factor = integer_factor("decimation factor", factor)
     if isinstance(series, EmbeddingSeries):
         return replace(series, values=series.values[::factor].copy(),
                        timestamps=series.timestamps[::factor].copy())

@@ -65,6 +65,8 @@ def match_changepoints(predicted, ground_truth, tolerance: int = 3) -> MatchResu
     each ground-truth end is used at most once. A prediction's candidates
     are the ends within its window, found by bisection on the sorted ends.
     """
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     preds = sorted(int(p) for p in predicted)
     gt = sorted(ground_truth, key=lambda s: s.end)
     ends = [seg.end for seg in gt]

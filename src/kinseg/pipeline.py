@@ -23,9 +23,6 @@ from . import bocpd, kinematics, metrics, segmentation, simulate, tables
 
 OUTPUT_DIR_ENV = "KINSEG_OUT_DIR"
 
-#: The prior each embedding source pairs with by default.
-PAIRED_PRIOR = {"adr": "informative", "external": "noninformative"}
-
 #: The four pipeline variants: embedding source (with its paired prior)
 #: crossed with postprocessing on/off. Order is fixed for deterministic
 #: sweep output.
@@ -35,6 +32,9 @@ VARIANTS = {
     "external_post": ("external", "noninformative", True),
     "external_nopost": ("external", "noninformative", False),
 }
+
+#: The prior each embedding source pairs with by default.
+PAIRED_PRIOR = {source: prior for source, prior, _ in VARIANTS.values()}
 
 
 @dataclass(frozen=True)
@@ -145,17 +145,20 @@ def run_pipeline(config: PipelineConfig, series: kinematics.EmbeddingSeries) -> 
     )
     posterior, raw_trace, post_trace, segments = analyse_series(series.values, config)
 
-    report = segmentation.segmentation_report(segments, raw_trace, post_trace, asdict(config))
-    report["series"] = {
-        "length": len(series),
-        "source": series.source,
-        "decimation": config.decimation,
+    report = {
+        "config": asdict(config),
+        "series": {"length": len(series), "source": series.source, "decimation": config.decimation},
+        "trace": {
+            "length": int(raw_trace.size),
+            "max_raw": float(raw_trace.max()),
+            "max_postprocessed": float(post_trace.max()),
+            "final_postprocessed": float(post_trace[-1]),
+        },
+        "segments": [{"changepoint": s.changepoint, "duration": s.duration, "start": s.start}
+                     for s in segments],
+        "metrics": None if ground_truth is None else metrics.evaluate_segmentation(
+            segments, ground_truth, config.tolerance).as_dict(),
     }
-    if ground_truth is not None:
-        evaluation = metrics.evaluate_segmentation(segments, ground_truth, config.tolerance)
-        report["metrics"] = evaluation.as_dict()
-    else:
-        report["metrics"] = None
 
     out = config.output_dir
     os.makedirs(out, exist_ok=True)

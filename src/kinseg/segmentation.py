@@ -156,12 +156,13 @@ def segments_to_csv(segments, path) -> int:
 
 def read_segments_csv(path) -> list[Segment]:
     """Read segments written by ``segments_to_csv``. A changepoint index
-    must be integral and appear on one row only; a repeat is named with
-    its data row and the row it repeats."""
+    must be integral and appear on one row only; the first row that breaks
+    either rule is named, and a repeat also names the row it repeats."""
     _, rows = tables.read_csv(path, [SEGMENTS_HEADER])
     changepoints = rows[:, 0].astype(int)
-    if np.any(changepoints != rows[:, 0]):
-        raise ValueError(f"{path}: non-integral changepoint index")
+    bad = changepoints != rows[:, 0]
+    if np.any(bad):
+        raise ValueError(f"{path}: non-integral changepoint index at data row {np.argmax(bad) + 1}")
     first_row = {}
     for row, k in enumerate(changepoints.tolist(), 1):
         if k in first_row:
@@ -179,26 +180,6 @@ def write_runlength_csv(path, raw, postprocessed) -> None:
         raise ValueError("raw and postprocessed traces must have equal length")
     tables.write_csv(path, ("k", "runlength", "runlength_postprocessed"),
                      zip(range(raw.size), raw.tolist(), post.tolist()))
-
-
-def segmentation_report(segments, raw_trace, post_trace, config: dict) -> dict:
-    """JSON-serialisable report echoing the configuration and trace stats
-    of nonempty traces (``postprocess_runlength`` rejects an empty one)."""
-    raw = np.asarray(raw_trace, dtype=float)
-    post = np.asarray(post_trace, dtype=float)
-    return {
-        "config": dict(config),
-        "trace": {
-            "length": int(raw.size),
-            "max_raw": float(raw.max()),
-            "max_postprocessed": float(post.max()),
-            "final_postprocessed": float(post[-1]),
-        },
-        "segments": [
-            {"changepoint": s.changepoint, "duration": s.duration, "start": s.start}
-            for s in segments
-        ],
-    }
 
 
 def report_to_json(report: dict, path) -> None:

@@ -25,6 +25,7 @@ from .kinematics import (
     INNER_RADIUS,
     OUTER_RADIUS,
     adr_invert,
+    integer_factor,
 )
 from .metrics import LABELS_HEADER, GroundTruthSegment
 
@@ -165,7 +166,6 @@ def generate_session(config: SessionConfig) -> LabeledSession:
         # 3-vectors dominated session generation
         mean_xyz, placed = mean.tolist(), []
         for j in range(length):
-            candidate = -mean / _norm(mean) * _MEAN_RADIUS_RANGE[0]
             for _ in range(_PLACEMENT_ATTEMPTS):
                 direction = rng.standard_normal(3)
                 direction /= _norm(direction)
@@ -193,9 +193,7 @@ def generate_session_axis_angle(config: SessionConfig, factor: int = 100) -> Lab
     decimation by ``factor`` recovers the embedding session. Ground-truth
     indices stay in downsampled units.
     """
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"expansion factor must be an integer >= 1, got {factor}")
-    factor = int(factor)
+    factor = integer_factor("expansion factor", factor)
     session = generate_session(config)
     emb = session.series.values
     stop = np.vstack([emb[1:], emb[-1:]])  # the last sample holds still

@@ -44,6 +44,13 @@ class TestQuaternionConversion:
         assert np.allclose(axis, (0.0, 0.0, 1.0))
         assert angle == pytest.approx(np.pi / 2.0)
 
+    def test_huge_quaternion_normalised(self):
+        # its squares overflow float64; the row is scaled before its norm is taken
+        axis, angle = axis_angle_of((1e300, 1e300, 0.0, 0.0))
+        unit_axis, unit_angle = axis_angle_of((1.0, 1.0, 0.0, 0.0))
+        assert np.allclose(axis, unit_axis, rtol=0.0, atol=1e-15)
+        assert angle == pytest.approx(unit_angle, rel=0.0, abs=1e-15)
+
     def test_roundtrip_up_to_sign(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -128,11 +135,11 @@ class TestAdrEmbedding:
         assert np.all(np.diff(norms[order]) >= 0.0)
 
     def test_rejects_non_unit_axis(self):
-        with pytest.raises(ValueError):
-            adr_embed((1.0, 1.0, 0.0), 0.5)
+        with pytest.raises(ValueError, match="axis at data row 2 is not a unit vector"):
+            adr_embed([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0)], [0.5, 0.5])
 
     def test_rejects_out_of_range_angle(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"angle at data row 1 lies outside \[0, pi\]"):
             adr_embed((1.0, 0.0, 0.0), 3.5)
 
 

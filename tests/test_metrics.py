@@ -90,6 +90,10 @@ class TestMatching:
             tolerance = int(rng.integers(0, 6))
             assert match_changepoints(preds, gt, tolerance) == pair_scan_match(preds, gt, tolerance)
 
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tolerance must be nonnegative, got -1"):
+            match_changepoints([10], [seg(0, 10)], tolerance=-1)
+
     def test_windowed_candidates_match_pair_scan_on_a_long_session(self):
         rng = np.random.default_rng(6)
         ends = np.cumsum(rng.integers(20, 60, 300))

@@ -113,6 +113,28 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"] is None  # no labels supplied
 
+    def test_report_layout(self, tmp_path):
+        # report.json restates runlength.csv, segments.csv and the resolved source
+        sim, out = tmp_path / "sim", tmp_path / "run"
+        assert run_cli("simulate", "--seed", "3", "--postures", "3", "--replications", "1",
+                       "--out", str(sim)) == 0
+        assert run_cli("run", "--input", str(sim / "session.csv"), "--decimation", "1",
+                       "--min-run", "5", "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"config", "series", "trace", "segments", "metrics"}
+        trace = np.loadtxt(out / "runlength.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert report["trace"] == {
+            "length": len(trace),
+            "max_raw": trace[:, 1].max(),
+            "max_postprocessed": trace[:, 2].max(),
+            "final_postprocessed": trace[-1, 2],
+        }
+        segments = np.loadtxt(out / "segments.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert len(segments) > 0
+        assert [[s["changepoint"], s["duration"], s["start"]] for s in report["segments"]] == (
+            segments.tolist())
+        assert report["series"]["source"] == report["config"]["embedding_source"] == "external"
+
     def test_config_echoed(self, session_dir, tmp_path):
         out = tmp_path / "echo"
         run_cli("run", "--input", str(session_dir / "session.csv"),
@@ -248,17 +270,25 @@ class TestRunCommand:
         assert "data row 2" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text, message", [
+    @pytest.mark.parametrize("text, source, message", [
         ("t,qw,qx,qy,qz\n0.0,1.0,0.0,0.0,0.0\n1.0,0.0,0.0,0.0,0.0\n2.0,1.0,0.0,0.0,0.0\n",
-         "zero quaternion at data row 2"),
+         "adr", "zero quaternion at data row 2"),
         ("t,o1,o2,o3\n0.0,1.5,0.0,0.0\n1.0,1.5,0.0,0.0\n1.0,1.5,0.0,0.0\n",
-         "data row 3 is not after data row 2"),
-    ], ids=["zero_quaternion", "repeated_timestamp"])
-    def test_invalid_row_exit_1_names_the_row(self, tmp_path, capsys, text, message):
+         "external", "data row 3 is not after data row 2"),
+        ("t,x1,x2,x3,x4\n0.0,1.0,0.0,0.0,0.5\n1.0,1.0,0.0,0.0,0.5\n2.0,1.0,1.0,0.0,0.5\n",
+         "adr", "rotation axis at data row 3 is not a unit vector"),
+        ("t,x1,x2,x3,x4\n0.0,1.0,0.0,0.0,0.5\n1.0,1.0,0.0,0.0,3.5\n2.0,1.0,0.0,0.0,0.5\n",
+         "adr", "rotation angle at data row 2 lies outside [0, pi]"),
+        ("t,o1,o2,o3\n0.0,1.5,0.0,0.0\n1.0,1.5,0.0,0.0\n2.0,0.5,0.0,0.0\n",
+         "adr", "outside the [1, 2] shell at data row 3"),
+    ], ids=["zero_quaternion", "repeated_timestamp", "non_unit_axis", "angle_out_of_range",
+            "outside_shell"])
+    def test_invalid_row_exit_1_names_the_row(self, tmp_path, capsys, text, source, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         out = tmp_path / "o"
-        rc = run_cli("run", "--input", str(bad), "--decimation", "1", "--out", str(out))
+        rc = run_cli("run", "--input", str(bad), "--embedding", source, "--decimation", "1",
+                     "--out", str(out))
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -443,6 +473,18 @@ class TestEvalCommand:
         assert f"{labels}: data row {bad_row} is not a segment" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integral_changepoint_exit_1_names_the_row(self, session_dir, tmp_path,
+                                                           capsys):
+        segments = tmp_path / "segments.csv"
+        segments.write_text("changepoint_idx,duration,start_idx\n10,10,0\n30.5,20,10.5\n")
+        out = tmp_path / "eval.json"
+        rc = run_cli("eval", "--predicted", str(segments), "--labels",
+                     str(session_dir / "labels.csv"), "--out", str(out))
+        assert rc == 1
+        assert (f"{segments}: non-integral changepoint index at data row 2"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_repeated_changepoint_exit_1_names_the_row(self, session_dir, tmp_path, capsys):
         segments = tmp_path / "segments.csv"
         segments.write_text("changepoint_idx,duration,start_idx\n"
@@ -571,10 +613,12 @@ class TestSweep:
     (["sweep", "--sessions", "1", "--base-seed", "-1"], "seed must be non-negative"),
     (["simulate", "--postures", "0"], "postures and replications must be at least 1"),
     (["simulate", "--level", "axis-angle", "--decimation", "0"], "expansion factor"),
+    (["simulate", "--decimation", "0"], "expansion factor must be an integer >= 1, got 0"),
     (["simulate", "--postures", "200", "--separation", "50"], "could not place 200 posture"),
     (["simulate", "--seed", "-1"], "seed must be non-negative"),
 ], ids=["sweep_variants", "sweep_hazard", "sweep_sessions", "sweep_workers",
         "sweep_base_seed", "simulate_postures", "simulate_decimation",
+        "simulate_decimation_embedding_level",
         "simulate_separation", "simulate_seed"])
 def test_invalid_setting_exit_1_leaves_no_output(tmp_path, capsys, argv, message):
     out = tmp_path / "o"

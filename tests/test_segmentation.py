@@ -238,13 +238,3 @@ class TestDeterminismAndIo:
         assert lines[0] == "k,runlength,runlength_postprocessed"
         assert len(lines) == 4
 
-    def test_report_round_trip(self, tmp_path):
-        import json
-        report = segmentation.segmentation_report(
-            [Segment(40, 38.0)], [0.0, 1.0], [0.0, 1.0], {"hazard_p": 0.01}
-        )
-        path = tmp_path / "report.json"
-        segmentation.report_to_json(report, path)
-        back = json.loads(path.read_text())
-        assert back["config"] == {"hazard_p": 0.01}
-        assert back["segments"][0]["changepoint"] == 40
