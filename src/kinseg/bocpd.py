@@ -178,28 +178,20 @@ def _student_t_terms(df, d: int):
     return half, np.array(gammas) - 0.5 * d * np.log(df * np.pi)
 
 
-def predictive_scale(params: NormalWishartParams):
-    """(scale matrix, degrees of freedom) of the Student-t posterior predictive."""
-    df = params.nu - params.dim + 1.0
-    scale = params.sigma * ((params.kappa + 1.0) / (params.kappa * df))
-    return scale, df
-
-
 def log_predictive(o, params: NormalWishartParams) -> float:
     """Log posterior predictive density of one observation.
 
     The predictive is a d-dimensional Student-t with nu - d + 1 degrees
-    of freedom, location mu and scale sigma * (kappa + 1) / (kappa * df).
+    of freedom, location mu and scale sigma * (kappa + 1) / (kappa * df),
+    every count-only term read from the zero-count row of ``_count_table``.
     """
     o = np.asarray(o, dtype=float).ravel()
     if o.shape[0] != params.dim:
         raise ValueError("observation dimension does not match the parameters")
-    scale, df = predictive_scale(params)
-    df = np.array([df])
-    half, const = _student_t_terms(df, params.dim)
+    _, _, df, coef, _, _, _, half, const = _count_table(params, 1)
     upper = np.triu_indices(params.dim)
-    log_density, not_pd = _log_student_t(scale[upper][:, None], (o - params.mu)[:, None],
-                                         df, half, const)
+    log_density, not_pd = _log_student_t((params.sigma[upper] * coef)[:, None],
+                                         (o - params.mu)[:, None], df, half, const)
     if not_pd[0]:
         raise _not_positive_definite()
     return float(log_density[0])

@@ -60,13 +60,16 @@ def quaternion_series_to_axis_angle(quats):
         raise ValueError("quaternion series must have four columns")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(q, axis=-1)
-    huge = ~np.isfinite(norms)
-    if huge.any():  # rows whose squares overflow are scaled by their largest component first
-        q = q / np.where(huge, np.abs(q).max(axis=-1), 1.0)[:, None]
+    # rows whose squares overflow or underflow are scaled by their largest component first
+    rescale = ~(np.isfinite(norms) & (norms >= 1e-12))
+    if rescale.any():
+        largest = np.abs(q).max(axis=-1)
+        zero = np.flatnonzero(largest == 0.0)
+        if zero.size:
+            raise ValueError(
+                f"quaternion series contains a zero quaternion at data row {zero[0] + 1}")
+        q = q / np.where(rescale, largest, 1.0)[:, None]
         norms = np.linalg.norm(q, axis=-1)
-    zero = np.flatnonzero(norms < 1e-12)
-    if zero.size:
-        raise ValueError(f"quaternion series contains a zero quaternion at data row {zero[0] + 1}")
     q = _canonicalize(q / norms[:, None])
     angles = 2.0 * np.arccos(np.clip(q[:, 0], -1.0, 1.0))
     vec = q[:, 1:]
@@ -98,7 +101,8 @@ def adr_embed(axes, angles) -> np.ndarray:
     """
     axes = np.asarray(axes, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    norms = np.linalg.norm(axes, axis=-1)
+    with np.errstate(over="ignore"):  # an infinite norm fails the check
+        norms = np.linalg.norm(axes, axis=-1)
     bad = np.abs(norms - 1.0) > 1e-9
     if np.any(bad):
         raise ValueError(f"rotation axis at data row {np.argmax(bad) + 1} is not a unit vector")
@@ -109,12 +113,22 @@ def adr_embed(axes, angles) -> np.ndarray:
     return radius[..., None] * axes
 
 
+def shell_norms(points) -> np.ndarray:
+    """Norms of embedded points; ValueError naming the first data row
+    whose norm lies outside the [1, 2] shell (within ``SHELL_TOL``)."""
+    with np.errstate(over="ignore"):  # an infinite norm fails the check
+        norms = np.linalg.norm(np.asarray(points, dtype=float), axis=-1)
+    bad = (norms < INNER_RADIUS - SHELL_TOL) | (norms > OUTER_RADIUS + SHELL_TOL)
+    if np.any(bad):
+        raise ValueError("embedded point outside the [1, 2] shell at data row "
+                         f"{np.argmax(bad) + 1}")
+    return norms
+
+
 def adr_invert(points):
     """Recover (axes, angles) from embedded points; inverse of adr_embed."""
     pts = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(pts, axis=-1)
-    if np.any((norms < INNER_RADIUS - SHELL_TOL) | (norms > OUTER_RADIUS + SHELL_TOL)):
-        raise ValueError("embedded point norm outside the [1, 2] shell")
+    norms = shell_norms(pts)
     radius = np.clip(norms, INNER_RADIUS, OUTER_RADIUS)
     angles = (radius - INNER_RADIUS) * np.pi
     axes = pts / norms[..., None]
@@ -123,19 +137,12 @@ def adr_invert(points):
 
 @dataclass
 class EmbeddingSeries:
-    """An ordered 3D embedding timeseries with timestamps and provenance.
-
-    ``source`` records how the embedding was produced: "adr" series must
-    lie in the [1, 2] shell, "external" embeddings are unconstrained.
-    """
+    """An ordered 3D embedding timeseries with strictly increasing timestamps."""
 
     values: np.ndarray
     timestamps: np.ndarray
-    source: str = "adr"
 
     def __post_init__(self):
-        if self.source not in ("adr", "external"):
-            raise ValueError(f"unknown embedding source {self.source!r}")
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
         self.timestamps = np.asarray(self.timestamps, dtype=float).ravel()
         if self.values.shape[0] != self.timestamps.shape[0]:
@@ -144,12 +151,6 @@ class EmbeddingSeries:
         if repeated.size:
             raise ValueError("timestamps must be strictly increasing, but data row "
                              f"{repeated[0] + 2} is not after data row {repeated[0] + 1}")
-        if self.source == "adr" and len(self.values):
-            norms = np.linalg.norm(self.values, axis=-1)
-            bad = (norms < INNER_RADIUS - SHELL_TOL) | (norms > OUTER_RADIUS + SHELL_TOL)
-            if np.any(bad):
-                raise ValueError("constrained embedding outside the [1, 2] shell at data row "
-                                 f"{np.argmax(bad) + 1}")
 
     def __len__(self) -> int:
         return len(self.values)

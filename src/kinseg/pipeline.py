@@ -60,9 +60,10 @@ class PipelineConfig:
             raise ValueError(f"unknown embedding source {self.embedding_source!r}")
         if self.prior_kind not in ("informative", "noninformative"):
             raise ValueError(f"unknown prior kind {self.prior_kind!r}")
-        for name in ("decimation", "log_threshold", "min_run", "tolerance", "sigma_epsilon"):
+        for name in ("log_threshold", "min_run", "tolerance", "sigma_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        kinematics.integer_factor("decimation factor", self.decimation)
         bocpd.HazardConfig(self.hazard_p)
         if self.prune_threshold is not None and not 0.0 < self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in (0, 1)")
@@ -79,21 +80,16 @@ def load_embedding_series(config: PipelineConfig, data) -> kinematics.EmbeddingS
     ``kinematics.read_orientation_csv`` into (kind, timestamps, values).
     The series holds arrays of its own, none of them views of ``data``."""
     kind, timestamps, values = data
-    if config.embedding_source == "adr":
-        if kind == "quaternion":
-            axes, angles = kinematics.quaternion_series_to_axis_angle(values)
-            values = kinematics.adr_embed(axes, angles)
-        elif kind == "axisangle":
-            values = kinematics.adr_embed(values[:, :3], values[:, 3])
-        # embedding input passes through; the shell-norm invariant check
-        # below rejects files that are not actually in the radial space
-        series = kinematics.EmbeddingSeries(values, timestamps, source="adr")
-    else:
-        if kind != "embedding":
-            raise ValueError(
-                "the external embedding source needs a t,o1,o2,o3 input file"
-            )
-        series = kinematics.EmbeddingSeries(values, timestamps, source="external")
+    adr = config.embedding_source == "adr"
+    if not adr and kind != "embedding":
+        raise ValueError("the external embedding source needs a t,o1,o2,o3 input file")
+    if adr and kind == "quaternion":
+        values = kinematics.adr_embed(*kinematics.quaternion_series_to_axis_angle(values))
+    elif adr and kind == "axisangle":
+        values = kinematics.adr_embed(values[:, :3], values[:, 3])
+    series = kinematics.EmbeddingSeries(values, timestamps)
+    if adr and kind == "embedding":  # adr_embed's own output is in the shell by construction
+        kinematics.shell_norms(series.values)
     return kinematics.decimate(series, config.decimation)
 
 
@@ -147,7 +143,8 @@ def run_pipeline(config: PipelineConfig, series: kinematics.EmbeddingSeries) -> 
 
     report = {
         "config": asdict(config),
-        "series": {"length": len(series), "source": series.source, "decimation": config.decimation},
+        "series": {"length": len(series), "source": config.embedding_source,
+                   "decimation": config.decimation},
         "trace": {
             "length": int(raw_trace.size),
             "max_raw": float(raw_trace.max()),

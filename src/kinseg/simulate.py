@@ -181,7 +181,7 @@ def generate_session(config: SessionConfig) -> LabeledSession:
 
     values = np.vstack(chunks)
     timestamps = np.arange(len(values), dtype=float)
-    return LabeledSession(EmbeddingSeries(values, timestamps, source="adr"), segments)
+    return LabeledSession(EmbeddingSeries(values, timestamps), segments)
 
 
 def generate_session_axis_angle(config: SessionConfig, factor: int = 100) -> LabeledSession:

@@ -17,6 +17,7 @@ from util_data import (
     monte_carlo_predictive_densities,
     nw_posterior_params,
     random_surface_points,
+    student_t_predictive,
 )
 
 
@@ -159,7 +160,7 @@ class TestCriterion5PredictiveDensityOracle:
         )
         worst = 0.0
         for idx, params in enumerate(param_sets):
-            scale, _ = bocpd.predictive_scale(params)
+            scale, _ = student_t_predictive(params)
             spread = np.sqrt(np.diag(scale))
             points = params.mu + rng.uniform(-1.5, 1.5, size=(10, 3)) * spread
             exact = np.array([np.exp(bocpd.log_predictive(o, params)) for o in points])

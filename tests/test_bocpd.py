@@ -1,5 +1,9 @@
+import importlib
+import inspect
 import itertools
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,6 @@ from kinseg.bocpd import (
     informative_prior,
     log_predictive,
     noninformative_prior,
-    predictive_scale,
     step,
 )
 from util_data import (
@@ -31,6 +34,7 @@ from util_data import (
     nw_posterior_params,
     reference_columns,
     reference_step,
+    student_t_predictive,
     traced_peak,
     two_segment_series,
 )
@@ -141,7 +145,7 @@ class TestLogPredictive:
     def test_mode_value_closed_form(self):
         from scipy.special import gammaln
         params = nw_posterior_params(informative_prior(), random_series(2, n=6))
-        scale, df = predictive_scale(params)
+        scale, df = student_t_predictive(params)
         d = 3
         expected = (
             gammaln(0.5 * (df + d)) - gammaln(0.5 * df)
@@ -153,7 +157,7 @@ class TestLogPredictive:
     def test_matches_scipy_multivariate_t(self):
         rng = np.random.default_rng(12)
         params = nw_posterior_params(informative_prior(), rng.normal(size=(9, 3)))
-        scale, df = predictive_scale(params)
+        scale, df = student_t_predictive(params)
         ref = multivariate_t(loc=params.mu, shape=scale, df=df)
         for _ in range(10):
             o = rng.normal(scale=2.0, size=3)
@@ -191,7 +195,7 @@ class TestLogPredictive:
         cases.append(([[2.0, 2.0, -2.0], [0.0, 0.0, 0.0]], [2.0, 2.0, -2.0]))
         for window, o in cases:
             params = nw_posterior_params(noninformative_prior(), np.array(window))
-            scale, df = predictive_scale(params)
+            scale, df = student_t_predictive(params)
             ref = multivariate_t(loc=params.mu, shape=scale, df=df)
             assert log_predictive(o, params) == pytest.approx(ref.logpdf(o), rel=1e-7)
 
@@ -209,7 +213,7 @@ class TestLogPredictive:
             window = (base + steps[:, None] * direction).astype(float)
             o = (base + rng.integers(0, 3) * direction).astype(float)
             params = nw_posterior_params(noninformative_prior(), window)
-            scale, df = predictive_scale(params)
+            scale, df = student_t_predictive(params)
             ref = multivariate_t(loc=params.mu, shape=scale, df=df)
             assert log_predictive(o, params) == pytest.approx(ref.logpdf(o), rel=1e-7)
 
@@ -824,11 +828,41 @@ class TestBlocks:
         assert len(steps) == 1
 
 
+# Names the tracer reads that no longer exist, each with the change that
+# mends it: the remap of its inference metrics onto ``infer_posterior``.
+STALE_TRACED_NAMES = {"bocpd.run_inference"}
+
+
 class TestTracerContract:
     """``perfbench/tracing.py`` counts steps and live hypotheses by putting a
     wrapper in place of ``bocpd.step``: ``infer_posterior`` must call it
     through the module once per observation, and each call must return the
     set before pruning, so its length is the step's pre-prune live count."""
+
+    def test_traced_names_are_public_functions(self):
+        # the tracer wraps the public functions of each layer and reads its
+        # metrics from spans named "layer.function"; a renamed function
+        # leaves its metric at 0. The file is compiled from its text into a
+        # fresh namespace, so nothing is written beside it.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        source = path.read_text()
+        tracing = {"__name__": "tracing"}
+        exec(compile(source, str(path), "exec"), tracing)
+        names = {*tracing["COUNTS"], *itertools.chain(*tracing["TIMES"].values()),
+                 *re.findall(r'spans_named\("([\w.]+)"\)', source)}
+        prefixes = set(tracing["SELF_TIMES"].values())  # "layer." or a function name
+        names |= {p for p in prefixes if not p.endswith(".")}
+        assert {p[:-1] for p in prefixes if p.endswith(".")} <= set(tracing["LAYERS"])
+        missing = set()
+        for name in names:
+            layer, attr = name.split(".")
+            assert layer in tracing["LAYERS"], name
+            module = importlib.import_module(f"kinseg.{layer}")
+            fn = getattr(module, attr, None)
+            if attr.startswith("_") or not (inspect.isfunction(fn)
+                                            and fn.__module__ == module.__name__):
+                missing.add(name)
+        assert missing <= STALE_TRACED_NAMES
 
     def test_step_called_per_observation_with_pre_prune_count(self, monkeypatch):
         vals = simulate.generate_session(simulate.SessionConfig(seed=3)).series.values[:400]

@@ -8,6 +8,7 @@ from kinseg.kinematics import (
     adr_invert,
     decimate,
     quaternion_series_to_axis_angle,
+    shell_norms,
 )
 from util_data import axis_angle_of, axis_angle_to_quaternion
 
@@ -50,6 +51,18 @@ class TestQuaternionConversion:
         unit_axis, unit_angle = axis_angle_of((1.0, 1.0, 0.0, 0.0))
         assert np.allclose(axis, unit_axis, rtol=0.0, atol=1e-15)
         assert angle == pytest.approx(unit_angle, rel=0.0, abs=1e-15)
+
+    def test_tiny_quaternion_normalised(self):
+        # its squares underflow to 0; the row is scaled before its norm is taken
+        axis, angle = axis_angle_of((1e-300, 1e-300, 0.0, 0.0))
+        unit_axis, unit_angle = axis_angle_of((1.0, 1.0, 0.0, 0.0))
+        assert np.allclose(axis, unit_axis, rtol=0.0, atol=1e-15)
+        assert angle == pytest.approx(unit_angle, rel=0.0, abs=1e-15)
+
+    def test_zero_row_named_among_rescaled_rows(self):
+        quats = [(1.0, 0.0, 0.0, 0.0), (1e-300, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]
+        with pytest.raises(ValueError, match="zero quaternion at data row 3"):
+            quaternion_series_to_axis_angle(quats)
 
     def test_roundtrip_up_to_sign(self):
         rng = np.random.default_rng(3)
@@ -143,6 +156,20 @@ class TestAdrEmbedding:
             adr_embed((1.0, 0.0, 0.0), 3.5)
 
 
+class TestShellNorms:
+    def test_returns_norms_inside_the_tolerance(self):
+        points = [[1.0 - 0.5e-9, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 2.0 + 0.5e-9]]
+        assert np.array_equal(shell_norms(points), np.linalg.norm(points, axis=-1))
+
+    @pytest.mark.parametrize("point", [[0.5, 0.0, 0.0], [5.0, 0.0, 0.0],
+                                       [1.0 - 2e-9, 0.0, 0.0]],
+                             ids=["inside", "outside", "inside_tolerance"])
+    def test_names_the_first_row_off_the_shell(self, point):
+        points = [[1.5, 0.0, 0.0], point, [9.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match=r"outside the \[1, 2\] shell at data row 2"):
+            shell_norms(points)
+
+
 class TestAdrInversion:
     def test_outer_shell_point(self):
         axes, angles = adr_invert((0.0, 0.0, 2.0))
@@ -206,17 +233,6 @@ class TestEmbeddingSeries:
         values = np.tile([1.5, 0.0, 0.0], (3, 1))
         with pytest.raises(ValueError):
             EmbeddingSeries(values, [0.0, 2.0, 2.0])
-
-    def test_rejects_off_shell_when_constrained(self):
-        with pytest.raises(ValueError):
-            EmbeddingSeries([[5.0, 0.0, 0.0]], [0.0])
-        # only the two known sources exist, so no third one skips the shell check
-        with pytest.raises(ValueError, match="unknown embedding source"):
-            EmbeddingSeries([[5.0, 0.0, 0.0]], [0.0], source="radial")
-
-    def test_unconstrained_accepts_any_point(self):
-        series = EmbeddingSeries([[5.0, 0.0, 0.0]], [0.0], source="external")
-        assert len(series) == 1
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -281,8 +281,16 @@ class TestRunCommand:
          "adr", "rotation angle at data row 2 lies outside [0, pi]"),
         ("t,o1,o2,o3\n0.0,1.5,0.0,0.0\n1.0,1.5,0.0,0.0\n2.0,0.5,0.0,0.0\n",
          "adr", "outside the [1, 2] shell at data row 3"),
+        # the timestamps are checked before the shell
+        ("t,o1,o2,o3\n0.0,1.5,0.0,0.0\n1.0,5.0,0.0,0.0\n1.0,1.5,0.0,0.0\n",
+         "adr", "data row 3 is not after data row 2"),
+        # squares that overflow fail the check without a RuntimeWarning
+        ("t,x1,x2,x3,x4\n0.0,1.0,0.0,0.0,0.5\n1.0,1e300,0.0,0.0,0.5\n",
+         "adr", "rotation axis at data row 2 is not a unit vector"),
+        ("t,o1,o2,o3\n0.0,1.5,0.0,0.0\n1.0,1e300,0.0,1e300\n",
+         "adr", "outside the [1, 2] shell at data row 2"),
     ], ids=["zero_quaternion", "repeated_timestamp", "non_unit_axis", "angle_out_of_range",
-            "outside_shell"])
+            "outside_shell", "timestamp_before_shell", "huge_axis", "huge_embedding"])
     def test_invalid_row_exit_1_names_the_row(self, tmp_path, capsys, text, source, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
@@ -292,6 +300,23 @@ class TestRunCommand:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        # an axis within the unit check's 1e-9 embeds 1.8e-9 past the outer radius
+        "t,x1,x2,x3,x4\n0.0,1.0,0.0,0.0,0.5\n1.0,1.0000000009,0.0,0.0,3.141592653589793\n",
+        # squares that underflow: normalised like 1,1,0,0
+        "t,qw,qx,qy,qz\n0.0,1.0,0.0,0.0,0.0\n1.0,1e-300,1e-300,0.0,0.0\n",
+    ], ids=["axis_near_tolerance", "tiny_quaternion"])
+    def test_valid_edge_row_exit_0(self, tmp_path, text):
+        data = tmp_path / "edge.csv"
+        data.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli("run", "--input", str(data), "--decimation", "1", "--out", str(out)) == 0
+        assert json.loads((out / "report.json").read_text())["series"]["length"] == 2
+
+    def test_decimation_checked_with_the_config(self):
+        with pytest.raises(ValueError, match="decimation factor must be an integer >= 1"):
+            PipelineConfig(input_path="x", output_dir="y", decimation=2.5)
 
     @BAD_LABELS
     def test_bad_labels_row_exit_1_names_the_row(self, session_dir, tmp_path, capsys, rows,

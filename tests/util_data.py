@@ -41,6 +41,18 @@ def random_surface_points(rng, n):
     return pts
 
 
+def student_t_predictive(params):
+    """(shape matrix, degrees of freedom) of the Normal-Wishart posterior
+    predictive, from the model's definition rather than kinseg's code: a
+    precision with Wishart scale inverse(sigma) and nu degrees of freedom,
+    and a mean with precision kappa times it, predict a Student-t with
+    nu - d + 1 degrees of freedom, location mu and shape
+    sigma (1 + 1 / kappa) / (nu - d + 1) (Murphy 2007, "Conjugate Bayesian
+    analysis of the Gaussian distribution")."""
+    df = params.nu - params.dim + 1.0
+    return params.sigma * ((1.0 + 1.0 / params.kappa) / df), df
+
+
 def monte_carlo_predictive_densities(points, params, n_samples, seed, chunk=200_000):
     """Monte Carlo estimate of the posterior predictive density at ``points``.
 
