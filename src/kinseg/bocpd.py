@@ -417,8 +417,8 @@ class RunLengthPosterior:
     zero, so memory scales with the live hypotheses, not with T²: 8 bytes
     a stored cell for the weight and 1 to 4 for the run length, in the
     narrowest unsigned type that holds T (10 on a night of 8,640 steps).
-    ``layout``, the row layout both dense writers share, is made on first
-    use and kept (4 bytes a cell).
+    ``layout``, the row index both dense writers share, is made on first
+    use and kept (6 bytes a cell on a night).
     """
 
     indptr: np.ndarray

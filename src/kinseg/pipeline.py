@@ -36,6 +36,11 @@ VARIANTS = {
 #: The prior each embedding source pairs with by default.
 PAIRED_PRIOR = {source: prior for source, prior, _ in VARIANTS.values()}
 
+#: The largest embedding coordinate accepted, in magnitude: its square leaves
+#: a window's scatter room below float64's 1.8e308. A coordinate of 1e153
+#: (1e155 under the informative prior) underflows every run-length hypothesis.
+MAX_COORDINATE = 1e150
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -78,7 +83,8 @@ def _make_prior(kind: str, sigma_epsilon: float) -> bocpd.NormalWishartParams:
 def load_embedding_series(config: PipelineConfig, data) -> kinematics.EmbeddingSeries:
     """The decimated embedding series of an input file read by
     ``kinematics.read_orientation_csv`` into (kind, timestamps, values).
-    The series holds arrays of its own, none of them views of ``data``."""
+    The series holds arrays of its own, none of them views of ``data``.
+    A coordinate past ``MAX_COORDINATE`` is a ValueError naming its row."""
     kind, timestamps, values = data
     adr = config.embedding_source == "adr"
     if not adr and kind != "embedding":
@@ -90,6 +96,10 @@ def load_embedding_series(config: PipelineConfig, data) -> kinematics.EmbeddingS
     series = kinematics.EmbeddingSeries(values, timestamps)
     if adr and kind == "embedding":  # adr_embed's own output is in the shell by construction
         kinematics.shell_norms(series.values)
+    huge = np.flatnonzero((np.abs(series.values) > MAX_COORDINATE).any(axis=1))
+    if huge.size:
+        raise ValueError(f"embedding coordinate above {MAX_COORDINATE:g} in magnitude at data "
+                         f"row {huge[0] + 1}")
     return kinematics.decimate(series, config.decimation)
 
 

@@ -28,24 +28,18 @@ def lms_estimate(posterior) -> np.ndarray:
     Column k of the ``bocpd.RunLengthPosterior`` is a distribution over
     run lengths 0..k; the estimate is its expectation, summed over the
     stored (nonzero) weights of each column in storage order. The sums
-    run over chunks of whole columns, about ``tables.CHUNK_CELLS`` cells
-    each, so no full-size temporary is made; a column's sum is the same
-    whichever chunk holds it. No BLAS call is made, so the bits do not
+    run over ``tables.column_chunks``, chunks of whole columns, so no
+    full-size temporary is made; a column's sum is the same whichever
+    chunk holds it. No BLAS call is made, so the bits do not
     depend on the BLAS thread count.
     """
-    indptr, size = posterior.indptr, posterior.size
-    out = np.zeros(size)
-    start = 0
-    while start < size:
-        # the last column boundary within CHUNK_CELLS cells, but one column at least
-        end = int(np.searchsorted(indptr, indptr[start] + tables.CHUNK_CELLS, "right")) - 1
-        end = max(start + 1, end)
+    indptr, out = posterior.indptr, np.zeros(posterior.size)
+    for start, end in tables.column_chunks(indptr):
         a, b = indptr[start], indptr[end]
         steps = np.repeat(np.arange(end - start), np.diff(indptr[start:end + 1]))
         out[start:end] = np.bincount(
             steps, weights=posterior.run_lengths[a:b] * posterior.weights[a:b],
             minlength=end - start)
-        start = end
     return out
 
 

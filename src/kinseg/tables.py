@@ -7,10 +7,10 @@ Records given as Python rows go through ``csv.writer``; a 2D float
 array is formatted in numpy with the same bytes (see ``write_csv``). A
 Cartesian product of two float arrays formats each row of each array
 once. A dense matrix with few stored cells is written in binary from a
-row layout of its stored cells that callers can keep (4 bytes a stored
-cell), one row of cells converted to Python scalars at a time: zero
-stretches are slices of one zero row, a row with no stored cell is one
-prebuilt line, and lines go through a buffer of ``WRITE_BYTES``.
+row index of its stored cells that callers can keep (6 bytes a cell),
+one row of cells converted to Python scalars at a time: zero stretches
+are slices of one zero row, a row with no stored cell is one prebuilt
+line, and lines go through a buffer of ``WRITE_BYTES``.
 Every file is written to a temporary name beside its path and
 renamed into place, so a failed write leaves no partial file. Tables
 are read back with a header check and a vectorised numeric parse that
@@ -305,22 +305,26 @@ def write_product_csv(path, header, left, right) -> None:
 
 
 class MatrixLayout(NamedTuple):
-    """Where the stored cells of an n x n matrix sit, row by row.
-
-    ``order`` puts the stored cells in row-major order, 4 bytes a cell
-    (int32) while there are fewer than 2^31 cells and 8 beyond; the rest
-    is a few numbers per stretch. The stretches of
-    adjacent stored cells in row r are ``row_stretches[r]`` up to
-    ``row_stretches[r + 1]``; stretch s starts at column
-    ``first_cols[s]`` and holds the ordered cells ``bounds[s]`` up to
-    ``bounds[s + 1]``.
-    """
+    """A compressed sparse row index of an n x n matrix's stored cells:
+    row r holds the ordered cells ``row_ptr[r]`` up to ``row_ptr[r + 1]``
+    in column order, and ordered cell i is stored cell ``order[i]`` (int32
+    below 2^31 cells), at column ``cols[i]`` (the narrowest unsigned type
+    that holds n): 6 bytes a cell up to 65,536 columns."""
 
     n: int
     order: np.ndarray
-    row_stretches: list
-    first_cols: list
-    bounds: list
+    row_ptr: np.ndarray
+    cols: np.ndarray
+
+
+def column_chunks(indptr):
+    """(start, end) column ranges of whole columns, ``CHUNK_CELLS`` cells
+    or one column each, of a matrix stored column by column at ``indptr``."""
+    start, size = 0, len(indptr) - 1
+    while start < size:
+        end = max(start + 1, int(np.searchsorted(indptr, indptr[start] + CHUNK_CELLS, "right")) - 1)
+        yield start, end
+        start = end
 
 
 def matrix_layout(n, rows, indptr) -> MatrixLayout:
@@ -328,31 +332,31 @@ def matrix_layout(n, rows, indptr) -> MatrixLayout:
     column: column c holds the cells ``indptr[c]`` up to ``indptr[c + 1]``,
     at rows ``rows[indptr[c]:indptr[c + 1]]``.
 
-    The cells come column by column, so a stable argsort of ``rows`` keeps
-    each row's cells in column order: the order is row-major. The ordered
-    cells are tested for stretches ``CHUNK_CELLS`` at a time by their rows
-    and columns, from a column per cell in the narrowest unsigned type
-    that holds n (2 bytes a cell up to 65,536 columns). The argsort's
-    int64 result and the int32 order it is narrowed to, 12 bytes a cell,
-    are the most held at once.
+    A counting sort: one ``np.bincount`` of ``rows`` gives each row's
+    offset, and each ``column_chunks`` chunk's cells go to their rows'
+    next free offsets in the order of a stable argsort of their rows, so
+    each row's cells stay in column order. No full-size array is made
+    but ``order``, ``cols`` and, before them, the bincount's intp copy
+    of narrow ``rows`` (8 bytes a cell).
     """
-    order = np.argsort(rows, kind="stable")
-    cols = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), np.diff(indptr))
-
-    def stretch_starts(a):
-        """The ordered cells a + 1 up to a + ``CHUNK_CELLS`` that start a stretch."""
-        cells = order[a:a + CHUNK_CELLS + 1]
-        # a stretch starts where the row changes or the column does not go up by 1
-        return np.flatnonzero((np.diff(rows[cells]) != 0) | (np.diff(cols[cells]) != 1)) + (a + 1)
-
-    firsts = np.concatenate([np.zeros(min(len(order), 1), dtype=int),  # the first cell starts one
-                             *map(stretch_starts, range(0, len(order), CHUNK_CELLS))])
-    first_rows, first_cols = rows[order[firsts]], cols[order[firsts]]
-    del cols  # before the narrowed order is made
-    if len(order) < 2 ** 31:
-        order = order.astype(np.int32)
-    return MatrixLayout(n, order, np.searchsorted(first_rows, np.arange(n + 1)).tolist(),
-                        first_cols.tolist(), [*firsts.tolist(), len(order)])
+    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    order = np.empty(len(rows), dtype=np.int32 if len(rows) < 2 ** 31 else np.int64)
+    cols = np.empty(len(rows), dtype=np.min_scalar_type(n))
+    free = row_ptr[:-1].copy()  # each row's next free offset
+    for start, end in column_chunks(indptr):
+        a, b = indptr[start], indptr[end]
+        if a == b:  # no stored cell
+            continue
+        cells = np.argsort(rows[a:b], kind="stable")
+        r = rows[a:b][cells]
+        heads = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))  # each row's first
+        used, counts = r[heads], np.diff(heads, append=b - a)
+        places = np.repeat(free[used] - heads, counts) + np.arange(b - a)
+        free[used] += counts
+        column = np.repeat(np.arange(start, end, dtype=cols.dtype), np.diff(indptr[start:end + 1]))
+        cols[places] = column[cells]
+        order[places] = (cells + a).astype(order.dtype)  # a scatter that casts is slower
+    return MatrixLayout(n, order, row_ptr, cols)
 
 
 def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:
@@ -362,31 +366,32 @@ def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:
     from; each prints as ``fmt % cell`` and every other cell as 0.
     Cells are separated by ``sep``. Only one row's cells are Python
     scalars at a time, so the write adds about one row to memory. Each
-    stretch of adjacent stored cells in a row is formatted in one go,
-    each zero stretch is a slice of one zero row, and a row with no
-    stored cell is one prebuilt line. Lines go to the file in binary,
-    through a buffer of ``WRITE_BYTES``.
+    stretch of adjacent stored cells in a row, found as the row is
+    written, is formatted in one go, each zero stretch is a slice of one
+    zero row, and a row with no stored cell is one prebuilt line. Lines
+    go to the file in binary, through a buffer of ``WRITE_BYTES``.
     """
-    n, order, row_stretches, first_cols, bounds = layout
-    cells = np.asarray(cells)
+    n, order, row_ptr, cols = layout
+    cells, bounds = np.asarray(cells), row_ptr.tolist()
     zeros, item, width = ("0" + sep) * n, fmt + sep, 1 + len(sep)
     empty = (zeros[:-len(sep)] + "\n").encode()
 
     def write(tmp):
         with open(tmp, "wb", buffering=WRITE_BYTES) as fh:
             fh.write(header.encode())
-            for r in range(n):
-                if row_stretches[r] == row_stretches[r + 1]:
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                if a == b:
                     fh.write(empty)
                     continue
-                first, last = row_stretches[r], row_stretches[r + 1]
-                start, pieces, filled = bounds[first], [], 0
-                row = cells[order[start:bounds[last]]].tolist()
-                for s in range(first, last):
-                    a, b = bounds[s] - start, bounds[s + 1] - start
-                    pieces.append(zeros[:(first_cols[s] - filled) * width])
-                    pieces.append(item * (b - a) % tuple(row[a:b]))
-                    filled = first_cols[s] + b - a
+                row, row_cols, starts = cells[order[a:b]].tolist(), cols[a:b], [0, b - a]
+                if row_cols[-1] - row_cols[0] >= b - a:  # more than one stretch
+                    # a stretch starts where the column does not go up by 1
+                    starts[1:1] = (np.flatnonzero(np.diff(row_cols) != 1) + 1).tolist()
+                pieces, filled = [], 0
+                for s, e, col in zip(starts, starts[1:], row_cols[starts[:-1]].tolist()):
+                    pieces.append(zeros[:(col - filled) * width])
+                    pieces.append(item * (e - s) % tuple(row[s:e]))
+                    filled = col + e - s
                 pieces.append(zeros[:(n - filled) * width])
                 fh.write(("".join(pieces)[:-len(sep)] + "\n").encode())
 

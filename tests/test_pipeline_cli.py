@@ -306,13 +306,29 @@ class TestRunCommand:
         "t,x1,x2,x3,x4\n0.0,1.0,0.0,0.0,0.5\n1.0,1.0000000009,0.0,0.0,3.141592653589793\n",
         # squares that underflow: normalised like 1,1,0,0
         "t,qw,qx,qy,qz\n0.0,1.0,0.0,0.0,0.0\n1.0,1e-300,1e-300,0.0,0.0\n",
-    ], ids=["axis_near_tolerance", "tiny_quaternion"])
+        # an external coordinate within pipeline.MAX_COORDINATE
+        "t,o1,o2,o3\n0.0,1.5,0.0,0.0\n1.0,1e100,0.0,0.0\n",
+    ], ids=["axis_near_tolerance", "tiny_quaternion", "large_external_coordinate"])
     def test_valid_edge_row_exit_0(self, tmp_path, text):
         data = tmp_path / "edge.csv"
         data.write_text(text)
         out = tmp_path / "o"
         assert run_cli("run", "--input", str(data), "--decimation", "1", "--out", str(out)) == 0
         assert json.loads((out / "report.json").read_text())["series"]["length"] == 2
+
+    # at 1e153 the recursion underflowed every hypothesis under the default
+    # (noninformative) prior and exited 2, naming no row
+    @pytest.mark.parametrize("value", ["1e153", "1e300"])
+    def test_huge_external_coordinate_exit_1_at_ingest(self, tmp_path, capsys, value):
+        bad = tmp_path / "huge.csv"
+        bad.write_text(f"t,o1,o2,o3\n0.0,1.5,0.0,0.0\n1.0,{value},0.0,0.0\n2.0,1.5,0.0,0.0\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli("run", "--input", str(bad), "--decimation", "1", "--out", str(out))
+        assert rc == 1
+        assert "above 1e+150 in magnitude at data row 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_decimation_checked_with_the_config(self):
         with pytest.raises(ValueError, match="decimation factor must be an integer >= 1"):
@@ -400,6 +416,22 @@ class TestFullNight:
         report = json.loads((out / "report.json").read_text())
         assert report["series"]["length"] == self.STEPS
         assert report["metrics"]["f1"] >= 0.95
+
+    def test_exact_path_memory(self, night_dir, tmp_path):
+        # the night's first 3,000 steps on the exact path: 1,063,628 stored cells
+        lines = (night_dir / "session.csv").read_text().splitlines(keepends=True)
+        session, out = tmp_path / "night.csv", tmp_path / "out"
+        session.write_text("".join(lines[:3001]))
+        code, peak_mb = cli_peak_mb(["run", "--input", str(session), "--embedding", "adr",
+                                     "--decimation", "1", "--out", str(out)],
+                                    _cli_env(), tmp_path / "peak")
+        assert code == 0
+        # the run's own memory over what importing the CLI takes: measured
+        # 24.3 MB at one BLAS thread (the 10-byte posterior, then the row
+        # index: an 8-byte bincount, then a 4-byte order and 2-byte columns);
+        # 30.4 MB with a full-size int64 argsort beside the order
+        _, baseline_mb = cli_peak_mb([], _cli_env(), tmp_path / "baseline")
+        assert peak_mb - baseline_mb < 28, f"peak RSS {peak_mb:.1f} MB over {baseline_mb:.1f} MB"
 
 
 class TestBlasThreads:

@@ -214,7 +214,7 @@ class TestMatrixWriter:
         vals = np.repeat(means, 40, axis=0) + 0.02 * rng.standard_normal((800, 3))
         P = bocpd.infer_posterior(vals, bocpd.informative_prior(), bocpd.HazardConfig(0.01),
                                   prune_threshold=1e-12)
-        assert np.mean(np.diff(P.layout.row_stretches) == 0) > 0.8  # mostly empty rows
+        assert np.mean(np.diff(P.layout.row_ptr) == 0) > 0.8  # mostly empty rows
         for write in (bocpd.posterior_to_csv, bocpd.posterior_to_pgm):
             sizes = []
             monkeypatch.setattr(tables, "open", _spying_open(sizes), raising=False)
@@ -240,12 +240,12 @@ class TestMatrixWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the layout's int64 argsort and the int32 order it is narrowed to
-        # peak at 12 bytes a cell (12.0 measured; 17.0 with a full-size
-        # stretch test and an int64 order); the writer adds its gathered
-        # writes and one row as Python floats, where converting every cell
-        # at once costs over 32 bytes a cell
-        assert peak < 13 * len(cells), f"{peak / len(cells):.1f} bytes per stored cell"
+        # the layout's int32 order and 2-byte columns, the writer's gathered
+        # writes and one row as Python floats: 10.2 bytes a cell measured
+        # (12.0 with a full-size int64 argsort beside the order, 17.0 with
+        # a full-size stretch test too); converting every cell at once
+        # costs over 32 bytes a cell
+        assert peak < 11 * len(cells), f"{peak / len(cells):.1f} bytes per stored cell"
 
 
 class TestMatrixLayout:
@@ -276,18 +276,17 @@ class TestMatrixLayout:
         storage.T[block.T] = np.arange(len(rows))
         block_rows, block_cols = np.nonzero(block)  # row-major
         r, c = used_rows[block_rows], used_cols[block_cols]
-        starts = np.flatnonzero(np.concatenate(([True], (np.diff(r) != 0) | (np.diff(c) != 1))))
         layout = tables.matrix_layout(n, rows, indptr)
         assert layout.n == n
         assert layout.order.dtype == np.int32
         assert np.array_equal(layout.order, storage[block])
-        assert layout.bounds == [*starts.tolist(), len(rows)]
-        assert layout.first_cols == c[starts].tolist()
-        stretches_per_row = np.bincount(r[starts], minlength=n)
-        assert layout.row_stretches == [0, *np.cumsum(stretches_per_row).tolist()]
+        assert np.array_equal(layout.row_ptr, np.concatenate(([0], np.cumsum(
+            np.bincount(r, minlength=n)))))
+        assert layout.cols.dtype == np.min_scalar_type(n)
+        assert np.array_equal(layout.cols, c)
         # a stretch that runs over adjacent columns, and rows of several stretches
-        assert np.diff(layout.bounds).max() > 1
-        assert np.diff(layout.row_stretches).max() > 1
+        same_row, step = np.diff(r) == 0, np.diff(c)
+        assert (same_row & (step == 1)).any() and (same_row & (step > 1)).any()
 
 
 def _spying_open(sizes):
