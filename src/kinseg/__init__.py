@@ -8,7 +8,6 @@ from .bocpd import (
     informative_prior,
     log_predictive,
     noninformative_prior,
-    step,
 )
 from .kinematics import (
     EmbeddingSeries,

@@ -78,13 +78,15 @@ class NormalWishartParams:
         d = self.mu.shape[0]
         if self.sigma.shape != (d, d):
             raise ValueError("sigma must be square and match the mean dimension")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
+            raise ValueError("mu and sigma must be finite")
         if not np.allclose(self.sigma, self.sigma.T, atol=1e-9):
             raise ValueError("sigma must be symmetric")
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         # predictive degrees of freedom nu - d + 1 must exceed 1
-        if self.nu <= d:
-            raise ValueError(f"nu must exceed the dimension ({d}), got {self.nu}")
+        if not d < self.nu < math.inf:
+            raise ValueError(f"nu must exceed the dimension ({d}) and be finite, got {self.nu}")
 
     @property
     def dim(self) -> int:
@@ -106,8 +108,8 @@ def noninformative_prior(epsilon: float = 1e-8) -> NormalWishartParams:
     of newborn hypotheses (their first predictions are scored against an
     epsilon-scaled matrix), so it is exposed as configuration.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     return NormalWishartParams(mu=np.full(3, 1e-4), kappa=1e-4, nu=4.0,
                                sigma=epsilon * np.eye(3))
 

@@ -175,10 +175,7 @@ def _cmd_sweep(args) -> int:
     sweep = pipeline.run_variant_sweep(
         session_config, seeds, base, variants=variants, workers=args.workers
     )
-    os.makedirs(out, exist_ok=True)  # once the sweep has run
-    pipeline.write_sweep_csv(sweep, os.path.join(out, "sweep.csv"))
-    pipeline.write_session_rows_csv(sweep, os.path.join(out, "sessions.csv"))
-    tables.write_json(os.path.join(out, "sweep.json"), sweep)
+    pipeline.write_sweep(sweep, out)
     for row in sweep["aggregate"]:
         pearson = row["mean_pearson_r"]
         print(

@@ -9,7 +9,7 @@ inference (``infer_trace``) then decision (``segment_trace``).
 ``run_variant_sweep`` replays seeded simulated sessions under the
 pipeline variants (a prior crossed with postprocessing on or off),
 infers once per prior, segments once per variant and aggregates the
-evaluation metrics.
+evaluation metrics, and ``write_sweep`` writes its three files.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class PipelineConfig:
         if self.prior_kind not in ("informative", "noninformative"):
             raise ValueError(f"unknown prior kind {self.prior_kind!r}")
         for name in ("log_threshold", "min_run", "tolerance", "sigma_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         kinematics.integer_factor("decimation factor", self.decimation)
         bocpd.HazardConfig(self.hazard_p)
         if self.prune_threshold is not None and not 0.0 < self.prune_threshold < 1.0:
@@ -253,18 +253,16 @@ def run_variant_sweep(
     return {"sessions": rows, "aggregate": aggregate}
 
 
-def _write_sweep_table(path, columns, rows) -> None:
-    tables.write_csv(path, columns, ([row[c] for c in columns] for row in rows),
-                     lineterminator="\n")
-
-
-def write_sweep_csv(sweep: dict, path) -> None:
-    """Aggregate table as CSV, one row per variant."""
-    _write_sweep_table(path, ("variant", "sessions", "mean_ppv", "mean_se", "mean_f1",
-                              "mean_pearson_r"), sweep["aggregate"])
-
-
-def write_session_rows_csv(sweep: dict, path) -> None:
-    """One flat CSV row per (variant, session) for downstream aggregation."""
-    _write_sweep_table(path, ("variant", "seed", "ppv", "se", "f1", "pearson_r"),
-                       sweep["sessions"])
+def write_sweep(sweep: dict, out) -> None:
+    """Write a ``run_variant_sweep`` result into ``out``, made right before
+    the first write: ``sweep.csv`` (a row per variant) and ``sessions.csv``
+    (a row per variant and session), both LF, then all of it as ``sweep.json``."""
+    os.makedirs(out, exist_ok=True)
+    for name, key, columns in (
+        ("sweep.csv", "aggregate",
+         ("variant", "sessions", "mean_ppv", "mean_se", "mean_f1", "mean_pearson_r")),
+        ("sessions.csv", "sessions", ("variant", "seed", "ppv", "se", "f1", "pearson_r")),
+    ):
+        tables.write_csv(os.path.join(out, name), columns,
+                         ([row[c] for c in columns] for row in sweep[key]), lineterminator="\n")
+    tables.write_json(os.path.join(out, "sweep.json"), sweep)

@@ -70,10 +70,11 @@ class SessionConfig:
         tlo, thi = self.transition_range
         if tlo < 1 or thi < tlo:
             raise ValueError(f"invalid transition range {self.transition_range}")
-        if self.noise_scale <= 0.0:
-            raise ValueError("noise scale must be positive")
-        if self.mean_separation < 0.0:
-            raise ValueError("mean separation must be nonnegative")
+        if not 0.0 < self.noise_scale < math.inf:
+            raise ValueError(f"noise scale must be positive and finite, got {self.noise_scale}")
+        if not 0.0 <= self.mean_separation < math.inf:
+            raise ValueError("mean separation must be nonnegative and finite, got "
+                             f"{self.mean_separation}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

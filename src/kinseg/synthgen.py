@@ -99,14 +99,13 @@ def project_ellipsoidal(vertices) -> np.ndarray:
         x_out = x * sqrt(1 - y^2/2 - z^2/2 + y^2 z^2 / 3)
 
     and symmetrically for the other two components. Inputs must lie on the
-    cube surface (some coordinate equal to +-1 within ``SURFACE_TOL``).
+    cube surface: the largest coordinate magnitude is 1 within
+    ``SURFACE_TOL``, which also keeps every coordinate within [-1, 1] to
+    that tolerance.
     """
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
-    absmax = np.abs(v).max(axis=-1)
-    if np.any(np.abs(absmax - 1.0) > SURFACE_TOL):
+    if np.any(np.abs(np.abs(v).max(axis=-1) - 1.0) > SURFACE_TOL):
         raise ValueError("point is not on the cube surface (no coordinate at +-1)")
-    if np.any(np.abs(v) > 1.0 + SURFACE_TOL):
-        raise ValueError("cube-surface coordinates must lie within [-1, 1]")
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     x2, y2, z2 = x * x, y * y, z * z
     out = np.stack(

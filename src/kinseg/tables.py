@@ -432,8 +432,9 @@ def read_csv(path, headers, dtype=float):
 
 
 def json_text(obj) -> str:
-    """``obj`` as indented JSON with sorted keys and a final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as indented JSON with sorted keys and a final newline; a
+    NaN or infinite float is a ValueError, as JSON has no token for it."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -76,18 +76,34 @@ class TestParams:
         assert np.allclose(p.sigma, 1e-8 * np.eye(3))
 
     def test_rejects_nonpositive_kappa(self):
-        with pytest.raises(ValueError):
-            NormalWishartParams(np.zeros(3), 0.0, 4.0, np.eye(3))
+        for kappa in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="kappa must be positive and finite"):
+                NormalWishartParams(np.zeros(3), kappa, 4.0, np.eye(3))
 
     def test_rejects_low_degrees_of_freedom(self):
-        with pytest.raises(ValueError):
-            NormalWishartParams(np.zeros(3), 1.0, 3.0, np.eye(3))
+        for nu in (3.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"must exceed the dimension \(3\) and be finite"):
+                NormalWishartParams(np.zeros(3), 1.0, nu, np.eye(3))
 
     def test_rejects_asymmetric_sigma(self):
         sigma = np.eye(3)
         sigma[0, 1] = 0.5
         with pytest.raises(ValueError):
             NormalWishartParams(np.zeros(3), 1.0, 4.0, sigma)
+
+    @pytest.mark.parametrize("mu, sigma, message", [
+        (np.zeros(3), np.eye(3)[:2], "sigma must be square"),
+        ([np.nan, 0.0, 0.0], np.eye(3), "mu and sigma must be finite"),
+        (np.zeros(3), np.full((3, 3), np.nan), "mu and sigma must be finite"),
+        (np.zeros(3), np.diag([np.inf, 1.0, 1.0]), "mu and sigma must be finite"),
+    ], ids=["non_square_sigma", "nan_mu", "nan_sigma", "inf_sigma"])
+    def test_rejects_bad_mu_or_sigma(self, mu, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            NormalWishartParams(mu, 1.0, 4.0, sigma)
+
+    def test_log_predictive_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="observation dimension does not match"):
+            log_predictive(np.zeros(2), informative_prior())
 
     def test_hazard_range(self):
         with pytest.raises(ValueError):
@@ -392,8 +408,9 @@ class TestRunInference:
         assert np.allclose(P.sum(axis=0), 1.0, atol=1e-12)
 
     def test_noninformative_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            noninformative_prior(epsilon=0.0)
+        for epsilon in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                noninformative_prior(epsilon=epsilon)
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_other_dimensions_supported(self, d):

@@ -59,6 +59,10 @@ class TestQuaternionConversion:
         assert np.allclose(axis, unit_axis, rtol=0.0, atol=1e-15)
         assert angle == pytest.approx(unit_angle, rel=0.0, abs=1e-15)
 
+    def test_rejects_three_columns(self):
+        with pytest.raises(ValueError, match="quaternion series must have four columns"):
+            quaternion_series_to_axis_angle([(1.0, 0.0, 0.0)])
+
     def test_zero_row_named_among_rescaled_rows(self):
         quats = [(1.0, 0.0, 0.0, 0.0), (1e-300, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]
         with pytest.raises(ValueError, match="zero quaternion at data row 3"):
@@ -240,16 +244,6 @@ class TestEmbeddingSeries:
 
 
 class TestCsvInterfaces:
-    def test_embedding_roundtrip(self, tmp_path):
-        values = np.array([[1.5, 0.0, 0.0], [0.0, 1.25, 0.0]])
-        series = EmbeddingSeries(values, [0.0, 1.0])
-        path = tmp_path / "emb.csv"
-        kinematics.write_embedding_csv(path, series)
-        kind, ts, vals = kinematics.read_orientation_csv(path)
-        assert kind == "embedding"
-        assert np.array_equal(ts, [0.0, 1.0])
-        assert np.array_equal(vals, values)
-
     def test_axis_angle_roundtrip(self, tmp_path):
         axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         angles = np.array([0.5, 1.5])

@@ -63,12 +63,6 @@ class TestSimulateCommand:
         assert (a / "session.csv").read_bytes() == (b / "session.csv").read_bytes()
         assert (a / "labels.csv").read_bytes() == (b / "labels.csv").read_bytes()
 
-    def test_negative_seed_exit_1(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        assert run_cli("simulate", "--seed", "-1", "--out", str(out)) == 1
-        assert "seed must be non-negative" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_noise_and_separation_flags(self, tmp_path):
         assert run_cli("simulate", "--seed", "3", "--postures", "3", "--replications", "1",
                        "--noise", "0.05", "--separation", "4", "--out", str(tmp_path)) == 0
@@ -77,15 +71,6 @@ class TestSimulateCommand:
         expected = tmp_path / "expected.csv"
         kinematics.write_embedding_csv(expected, session.series)
         assert (tmp_path / "session.csv").read_bytes() == expected.read_bytes()
-
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--noise", "0", "noise scale must be positive"),
-        ("--separation", "-1", "mean separation must be nonnegative"),
-    ], ids=["noise", "separation"])
-    def test_invalid_session_flag_exit_1(self, tmp_path, capsys, flag, value, message):
-        assert run_cli("simulate", "--seed", "1", flag, value, "--out", str(tmp_path)) == 1
-        assert message in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunCommand:
@@ -188,21 +173,6 @@ class TestRunCommand:
                        "so no segment can be found\n")
         assert run_cli(*args, "--decimation", "1", "--out", str(tmp_path / "full")) == 0
         assert capsys.readouterr().err == ""
-
-    def test_determinism_byte_identical(self, session_dir, tmp_path):
-        # identical input, config and output location: rerunning must
-        # reproduce every artifact byte for byte (the config echo contains
-        # the resolved paths, so the output directory is part of the config)
-        out = tmp_path / "rerun"
-        names = ("segments.csv", "runlength.csv", "posterior.csv", "posterior.pgm", "report.json")
-        args = ("run", "--input", str(session_dir / "session.csv"),
-                "--labels", str(session_dir / "labels.csv"),
-                "--embedding", "adr", "--decimation", "1", "--out", str(out))
-        run_cli(*args)
-        snapshot = {name: (out / name).read_bytes() for name in names}
-        run_cli(*args)
-        for name in names:
-            assert (out / name).read_bytes() == snapshot[name], name
 
     def test_full_orientation_path(self, tmp_path):
         # axis-angle input at the raw rate goes through conversion,
@@ -333,6 +303,12 @@ class TestRunCommand:
     def test_decimation_checked_with_the_config(self):
         with pytest.raises(ValueError, match="decimation factor must be an integer >= 1"):
             PipelineConfig(input_path="x", output_dir="y", decimation=2.5)
+
+    @pytest.mark.parametrize("field, message", [("embedding_source", "unknown embedding source"),
+                                                ("prior_kind", "unknown prior kind")])
+    def test_unknown_source_or_prior_rejected(self, field, message):
+        with pytest.raises(ValueError, match=f"{message} 'bogus'"):
+            PipelineConfig(input_path="x", output_dir="y", **{field: "bogus"})
 
     @BAD_LABELS
     def test_bad_labels_row_exit_1_names_the_row(self, session_dir, tmp_path, capsys, rows,
@@ -502,9 +478,11 @@ class TestEvalCommand:
         report = json.loads((out / "report.json").read_text())
         capsys.readouterr()
         rc = run_cli("eval", "--predicted", str(out / "segments.csv"),
-                     "--labels", str(session_dir / "labels.csv"))
+                     "--labels", str(session_dir / "labels.csv"), "--out", str(tmp_path / "e.json"))
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
+        stdout = capsys.readouterr().out
+        assert (tmp_path / "e.json").read_text() == stdout
+        payload = json.loads(stdout)
         assert payload["f1"] == pytest.approx(report["metrics"]["f1"], rel=1e-12)
         assert payload["tp"] == report["metrics"]["tp"]
 
@@ -617,30 +595,6 @@ class TestSweep:
         parallel = pipeline.run_variant_sweep(config, [1, 2, 3], base, workers=2)
         assert serial == parallel
 
-    @pytest.mark.parametrize("flag,value", [("--sessions", "0"), ("--sessions", "-2"),
-                                            ("--workers", "0"), ("--workers", "-3")])
-    def test_nonpositive_count_exit_1(self, tmp_path, capsys, flag, value):
-        out = tmp_path / "o"
-        rc = run_cli("sweep", "--out", str(out), "--sessions", "1", flag, value)
-        assert rc == 1
-        assert f"{flag[2:]} must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_base_seed_exit_1(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        rc = run_cli("sweep", "--out", str(out), "--sessions", "1", "--base-seed", "-1")
-        assert rc == 1
-        assert "seed must be non-negative" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_nonpositive_sigma_epsilon_exit_1(self, tmp_path, capsys):
-        # rejected before any inference, with every variant
-        out = tmp_path / "o"
-        rc = run_cli("sweep", "--out", str(out), "--sessions", "1", "--sigma-epsilon", "0")
-        assert rc == 1
-        assert "sigma_epsilon must be positive" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("seeds,workers,message", [
         ([], 1, "sessions must be at least 1"),
         ([1], 0, "workers must be at least 1"),
@@ -661,25 +615,81 @@ class TestSweep:
 
 
 # Invalid settings of the commands that make an output directory, and
-# the text that names the setting on stderr.
-@pytest.mark.parametrize("argv,message", [
-    (["sweep", "--sessions", "1", "--variants", "bogus"], "unknown variant 'bogus'"),
-    (["sweep", "--sessions", "1", "--hazard", "1.5"], "hazard changepoint probability"),
-    (["sweep", "--sessions", "0"], "sessions must be at least 1"),
-    (["sweep", "--sessions", "1", "--workers", "0"], "workers must be at least 1"),
-    (["sweep", "--sessions", "1", "--base-seed", "-1"], "seed must be non-negative"),
-    (["simulate", "--postures", "0"], "postures and replications must be at least 1"),
-    (["simulate", "--level", "axis-angle", "--decimation", "0"], "expansion factor"),
-    (["simulate", "--decimation", "0"], "expansion factor must be an integer >= 1, got 0"),
-    (["simulate", "--postures", "200", "--separation", "50"], "could not place 200 posture"),
-    (["simulate", "--seed", "-1"], "seed must be non-negative"),
-], ids=["sweep_variants", "sweep_hazard", "sweep_sessions", "sweep_workers",
-        "sweep_base_seed", "simulate_postures", "simulate_decimation",
-        "simulate_decimation_embedding_level",
-        "simulate_separation", "simulate_seed"])
-def test_invalid_setting_exit_1_leaves_no_output(tmp_path, capsys, argv, message):
+# the text that names the setting on stderr. A run reads the seed-7 session.
+INVALID_SETTINGS = {
+    "run_sigma_epsilon_nan": (["run", "--sigma-epsilon", "nan"],
+                              "sigma_epsilon must be positive and finite, got nan"),
+    "run_noninformative_sigma_epsilon_nan": (
+        ["run", "--prior", "noninformative", "--sigma-epsilon", "nan"],
+        "sigma_epsilon must be positive and finite, got nan"),
+    "run_noninformative_sigma_epsilon_inf": (
+        ["run", "--prior", "noninformative", "--sigma-epsilon", "inf"],
+        "sigma_epsilon must be positive and finite, got inf"),
+    "run_log_threshold_nan": (["run", "--log-threshold", "nan"],
+                              "log_threshold must be positive and finite, got nan"),
+    "run_log_threshold_inf": (["run", "--log-threshold", "inf"],
+                              "log_threshold must be positive and finite, got inf"),
+    "run_min_run_nan": (["run", "--min-run", "nan"],
+                        "min_run must be positive and finite, got nan"),
+    "run_min_run_inf": (["run", "--min-run", "inf"],
+                        "min_run must be positive and finite, got inf"),
+    "run_prune_0": (["run", "--prune", "0"], "prune_threshold must lie in (0, 1)"),
+    "run_prune_1": (["run", "--prune", "1"], "prune_threshold must lie in (0, 1)"),
+    "sweep_variants": (["sweep", "--sessions", "1", "--variants", "bogus"],
+                       "unknown variant 'bogus'"),
+    "sweep_hazard": (["sweep", "--sessions", "1", "--hazard", "1.5"],
+                     "hazard changepoint probability"),
+    "sweep_sessions": (["sweep", "--sessions", "0"], "sessions must be at least 1"),
+    "sweep_negative_sessions": (["sweep", "--sessions", "-2"], "sessions must be at least 1"),
+    "sweep_workers": (["sweep", "--sessions", "1", "--workers", "0"],
+                      "workers must be at least 1"),
+    "sweep_negative_workers": (["sweep", "--sessions", "1", "--workers", "-3"],
+                               "workers must be at least 1"),
+    "sweep_base_seed": (["sweep", "--sessions", "1", "--base-seed", "-1"],
+                        "seed must be non-negative"),
+    "sweep_sigma_epsilon": (["sweep", "--sessions", "1", "--sigma-epsilon", "0"],
+                            "sigma_epsilon must be positive"),
+    "sweep_sigma_epsilon_nan": (["sweep", "--sessions", "1", "--sigma-epsilon", "nan"],
+                                "sigma_epsilon must be positive and finite, got nan"),
+    "sweep_min_run_inf": (["sweep", "--sessions", "1", "--min-run", "inf"],
+                          "min_run must be positive and finite, got inf"),
+    "sweep_noise_nan": (["sweep", "--sessions", "1", "--noise", "nan"],
+                        "noise scale must be positive and finite, got nan"),
+    "simulate_postures": (["simulate", "--postures", "0"],
+                          "postures and replications must be at least 1"),
+    "simulate_decimation": (["simulate", "--level", "axis-angle", "--decimation", "0"],
+                            "expansion factor"),
+    "simulate_decimation_embedding_level": (
+        ["simulate", "--decimation", "0"], "expansion factor must be an integer >= 1, got 0"),
+    "simulate_separation": (["simulate", "--postures", "200", "--separation", "50"],
+                            "could not place 200 posture"),
+    "simulate_seed": (["simulate", "--seed", "-1"], "seed must be non-negative"),
+    "simulate_noise": (["simulate", "--noise", "0"], "noise scale must be positive"),
+    "simulate_noise_nan": (["simulate", "--noise", "nan"],
+                           "noise scale must be positive and finite, got nan"),
+    "simulate_noise_inf": (["simulate", "--noise", "inf"],
+                           "noise scale must be positive and finite, got inf"),
+    "simulate_negative_separation": (["simulate", "--separation", "-1"],
+                                     "mean separation must be nonnegative"),
+    "simulate_separation_nan": (["simulate", "--separation", "nan"],
+                                "mean separation must be nonnegative and finite, got nan"),
+    "simulate_separation_inf": (["simulate", "--separation", "inf"],
+                                "mean separation must be nonnegative and finite, got inf"),
+    "simulate_transition_range": (["simulate", "--min-transition", "3", "--max-transition", "2"],
+                                  "invalid transition range (3, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_SETTINGS)
+def test_invalid_setting_exit_1_leaves_no_output(session_dir, tmp_path, capsys, case):
+    argv, message = INVALID_SETTINGS[case]
+    if argv[0] == "run":
+        argv = [*argv, "--input", str(session_dir / "session.csv"), "--embedding", "adr",
+                "--decimation", "1"]
     out = tmp_path / "o"
-    assert run_cli(*argv, "--out", str(out)) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*argv, "--out", str(out)) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 

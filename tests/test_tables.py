@@ -358,6 +358,13 @@ class TestAtomicWrites:
             tables.write_json(tmp_path / "r.json", {"a": 1})
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_json_leaves_no_file(self, tmp_path, value):
+        # NaN and Infinity are not JSON tokens (RFC 8259)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            tables.write_json(tmp_path / "r.json", {"a": [1.0, value]})
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_directory(self, tmp_path):
         path = tmp_path / "missing" / "t.csv"
         with pytest.raises(FileNotFoundError) as raised:

@@ -13,9 +13,10 @@ differ, or why it cannot be compared cell by cell. The exit code is 0
 when every file is identical and 1 otherwise.
 
 ``--quick`` is the criterion-10 commands, the ``simulate --seed 7``
-session with its exact, pruned and external ``run`` and ``eval``, and
-the seed-1 night (8,640 steps) with ``--prune 1e-12``. The full set adds
-the exact night, an axis-angle session and its ``run``, the benchmark's
+session with its exact, pruned and external ``run`` and ``eval``, the
+seed-1 night (8,640 steps) with ``--prune 1e-12``, and
+``sweep --sessions 2`` with one and two workers. The full set adds the
+exact night, an axis-angle session and its ``run``, the benchmark's
 30 Hz side (``synthgen``, a fixed-length axis-angle ``simulate``, and
 ``run`` on 100,000 quaternion rows under both priors) and
 ``sweep --sessions 20`` with one and two workers.
@@ -91,6 +92,8 @@ QUICK = [
     cut_night,
     [*run("night"), "--embedding", "adr", "--decimation", "1", "--prune", "1e-12",
      "--out", "night/pruned"],
+    ["sweep", "--sessions", "2", "--workers", "1", "--out", "sweep-quick1"],
+    ["sweep", "--sessions", "2", "--workers", "2", "--out", "sweep-quick2"],
 ]
 FULL = QUICK + [
     [*run("night"), "--embedding", "adr", "--decimation", "1", "--out", "night/exact"],
