@@ -5,6 +5,8 @@ format (header, float formatting, CRLF or LF line ends) without
 depending on any numerical result.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,15 @@ SWEEP = {
                  {"variant": "adr_post", "seed": 2, "ppv": 1.0, "se": 0.5,
                   "f1": 2.0 / 3.0, "pearson_r": None}],
 }
+
+
+def _sweep_file(name):
+    """A writer of one of the files ``pipeline.write_sweep`` writes for SWEEP."""
+    def write(path):
+        pipeline.write_sweep(SWEEP, path.parent / "sweep")
+        os.replace(path.parent / "sweep" / name, path)
+    return write
+
 
 WRITERS = {
     "embedding": (
@@ -55,9 +66,30 @@ WRITERS = {
             p, [GroundTruthSegment(0, 3), GroundTruthSegment(5, 12)]),
         b"segment_start,segment_end\r\n0,3\r\n5,12\r\n",
     ),
+    "sweep": (
+        _sweep_file("sweep.csv"),
+        b"variant,sessions,mean_ppv,mean_se,mean_f1,mean_pearson_r\n"
+        b"adr_post,2,1.0,0.5,0.6666666666666666,\n",
+    ),
+    "sessions": (
+        _sweep_file("sessions.csv"),
+        b"variant,seed,ppv,se,f1,pearson_r\n"
+        b"adr_post,1,1.0,0.5,0.6666666666666666,0.1\n"
+        b"adr_post,2,1.0,0.5,0.6666666666666666,\n",
+    ),
     "report": (
         lambda p: segmentation.report_to_json({"b": 1, "a": [0.1, None, True]}, p),
         b'{\n  "a": [\n    0.1,\n    null,\n    true\n  ],\n  "b": 1\n}\n',
+    ),
+    "sweep_json": (
+        _sweep_file("sweep.json"),
+        b'{\n  "aggregate": [\n    {\n      "mean_f1": 0.6666666666666666,\n'
+        b'      "mean_pearson_r": null,\n      "mean_ppv": 1.0,\n      "mean_se": 0.5,\n'
+        b'      "sessions": 2,\n      "variant": "adr_post"\n    }\n  ],\n  "sessions": [\n'
+        b'    {\n      "f1": 0.6666666666666666,\n      "pearson_r": 0.1,\n      "ppv": 1.0,\n'
+        b'      "se": 0.5,\n      "seed": 1,\n      "variant": "adr_post"\n    },\n'
+        b'    {\n      "f1": 0.6666666666666666,\n      "pearson_r": null,\n      "ppv": 1.0,\n'
+        b'      "se": 0.5,\n      "seed": 2,\n      "variant": "adr_post"\n    }\n  ]\n}\n',
     ),
 }
 
@@ -71,25 +103,10 @@ def test_writer_bytes(name, tmp_path):
     assert rows in (None, expected.count(b"\n") - 1)  # a returned count is of the data rows
 
 
-def test_write_sweep_bytes(tmp_path):
-    out = tmp_path / "sweep"  # made by the writer
+def test_write_sweep_makes_its_directory(tmp_path):
+    out = tmp_path / "sweep"
     pipeline.write_sweep(SWEEP, out)
     assert sorted(p.name for p in out.iterdir()) == ["sessions.csv", "sweep.csv", "sweep.json"]
-    assert (out / "sweep.csv").read_bytes() == (
-        b"variant,sessions,mean_ppv,mean_se,mean_f1,mean_pearson_r\n"
-        b"adr_post,2,1.0,0.5,0.6666666666666666,\n")
-    assert (out / "sessions.csv").read_bytes() == (
-        b"variant,seed,ppv,se,f1,pearson_r\n"
-        b"adr_post,1,1.0,0.5,0.6666666666666666,0.1\n"
-        b"adr_post,2,1.0,0.5,0.6666666666666666,\n")
-    assert (out / "sweep.json").read_bytes() == (
-        b'{\n  "aggregate": [\n    {\n      "mean_f1": 0.6666666666666666,\n'
-        b'      "mean_pearson_r": null,\n      "mean_ppv": 1.0,\n      "mean_se": 0.5,\n'
-        b'      "sessions": 2,\n      "variant": "adr_post"\n    }\n  ],\n  "sessions": [\n'
-        b'    {\n      "f1": 0.6666666666666666,\n      "pearson_r": 0.1,\n      "ppv": 1.0,\n'
-        b'      "se": 0.5,\n      "seed": 1,\n      "variant": "adr_post"\n    },\n'
-        b'    {\n      "f1": 0.6666666666666666,\n      "pearson_r": null,\n      "ppv": 1.0,\n'
-        b'      "se": 0.5,\n      "seed": 2,\n      "variant": "adr_post"\n    }\n  ]\n}\n')
 
 
 class TestRoundTrip:

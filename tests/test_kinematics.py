@@ -244,6 +244,16 @@ class TestEmbeddingSeries:
 
 
 class TestCsvInterfaces:
+    def test_embedding_roundtrip(self, tmp_path):
+        values = np.array([[1.5, 0.0, 0.0], [0.0, 1.25, 0.0]])
+        series = EmbeddingSeries(values, [0.0, 1.0])
+        path = tmp_path / "emb.csv"
+        kinematics.write_embedding_csv(path, series)
+        kind, ts, vals = kinematics.read_orientation_csv(path)
+        assert kind == "embedding"
+        assert np.array_equal(ts, [0.0, 1.0])
+        assert np.array_equal(vals, values)
+
     def test_axis_angle_roundtrip(self, tmp_path):
         axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         angles = np.array([0.5, 1.5])

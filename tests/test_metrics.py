@@ -204,3 +204,18 @@ class TestEvaluateSegmentation:
         payload = evaluate_segmentation(predicted, gt).as_dict()
         json.dumps(payload)
         assert payload["tp"] == 2
+
+
+class TestLabelsCsv:
+    def test_roundtrip(self, tmp_path):
+        from kinseg.simulate import write_labels_csv
+        segs = [seg(0, 30), seg(33, 80)]
+        path = tmp_path / "labels.csv"
+        assert write_labels_csv(path, segs) == 2
+        assert metrics.read_labels_csv(path) == segs
+
+    def test_rejects_wrong_header(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError):
+            metrics.read_labels_csv(path)

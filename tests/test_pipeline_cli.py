@@ -63,6 +63,12 @@ class TestSimulateCommand:
         assert (a / "session.csv").read_bytes() == (b / "session.csv").read_bytes()
         assert (a / "labels.csv").read_bytes() == (b / "labels.csv").read_bytes()
 
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--seed", "-1", "--out", str(out)) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_noise_and_separation_flags(self, tmp_path):
         assert run_cli("simulate", "--seed", "3", "--postures", "3", "--replications", "1",
                        "--noise", "0.05", "--separation", "4", "--out", str(tmp_path)) == 0
@@ -173,6 +179,21 @@ class TestRunCommand:
                        "so no segment can be found\n")
         assert run_cli(*args, "--decimation", "1", "--out", str(tmp_path / "full")) == 0
         assert capsys.readouterr().err == ""
+
+    def test_determinism_byte_identical(self, session_dir, tmp_path):
+        # identical input, config and output location: rerunning must
+        # reproduce every artifact byte for byte (the config echo contains
+        # the resolved paths, so the output directory is part of the config)
+        out = tmp_path / "rerun"
+        names = ("segments.csv", "runlength.csv", "posterior.csv", "posterior.pgm", "report.json")
+        args = ("run", "--input", str(session_dir / "session.csv"),
+                "--labels", str(session_dir / "labels.csv"),
+                "--embedding", "adr", "--decimation", "1", "--out", str(out))
+        run_cli(*args)
+        snapshot = {name: (out / name).read_bytes() for name in names}
+        run_cli(*args)
+        for name in names:
+            assert (out / name).read_bytes() == snapshot[name], name
 
     def test_full_orientation_path(self, tmp_path):
         # axis-angle input at the raw rate goes through conversion,
@@ -594,6 +615,21 @@ class TestSweep:
         serial = pipeline.run_variant_sweep(config, [1, 2, 3], base, workers=1)
         parallel = pipeline.run_variant_sweep(config, [1, 2, 3], base, workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("flag,value", [("--sessions", "0"), ("--workers", "0")])
+    def test_nonpositive_count_exit_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        rc = run_cli("sweep", "--out", str(out), "--sessions", "1", flag, value)
+        assert rc == 1
+        assert f"{flag[2:]} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_base_seed_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = run_cli("sweep", "--out", str(out), "--sessions", "1", "--base-seed", "-1")
+        assert rc == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds,workers,message", [
         ([], 1, "sessions must be at least 1"),

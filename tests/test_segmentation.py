@@ -223,6 +223,21 @@ class TestDeterminismAndIo:
             trace = np.sort(np.abs(rng.normal(0, 30, 40)))
             assert detect_resets(postprocess_runlength(trace)) == []
 
+    def test_segments_csv_roundtrip(self, tmp_path):
+        segs = [Segment(40, 38.0), Segment(90, 45.5)]
+        path = tmp_path / "segments.csv"
+        assert segmentation.segments_to_csv(segs, path) == 2
+        assert segmentation.read_segments_csv(path) == segs
+        header = path.read_text().splitlines()[0]
+        assert header == "changepoint_idx,duration,start_idx"
+
+    def test_runlength_csv(self, tmp_path):
+        path = tmp_path / "runlength.csv"
+        segmentation.write_runlength_csv(path, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "k,runlength,runlength_postprocessed"
+        assert len(lines) == 4
+
     def test_runlength_csv_rejects_unequal_traces(self, tmp_path):
         path = tmp_path / "runlength.csv"
         with pytest.raises(ValueError, match="traces must have equal length"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinseg import cli, kinematics, simulate
+from kinseg import cli, kinematics, metrics, simulate
 from kinseg.simulate import SessionConfig, generate_session, generate_session_axis_angle
 
 
@@ -151,3 +151,13 @@ class TestShellClamp:
         out = _clamp_to_shell(np.zeros((1, 3)))
         assert np.allclose(out, [[1.0, 0.0, 0.0]])
         assert np.isfinite(out).all()
+
+
+class TestLabelsFile:
+    def test_ground_truth_recoverable(self, tmp_path):
+        session = generate_session(SessionConfig(seed=13))
+        path = tmp_path / "labels.csv"
+        simulate.write_labels_csv(path, session.segments)
+        back = metrics.read_labels_csv(path)
+        assert back == session.segments
+        assert [s.duration for s in back] == [s.duration for s in session.segments]

@@ -174,6 +174,14 @@ class TestDataset:
 
 
 class TestCsvExport:
+    def test_header_and_rows(self, tmp_path):
+        path = tmp_path / "data.csv"
+        written = synthgen.export_dataset_csv([[0.0, 0.0, 1.0]], [np.pi, np.pi / 2], path)
+        lines = path.read_text().splitlines()
+        assert written == 2
+        assert lines[0] == "a1,a2,a3,angle_rad"
+        assert len(lines) == 3
+
     def test_roundtrip_precision(self, tmp_path):
         axes = synthgen.project_ellipsoidal(synthgen.build_cube_mesh(3))
         angles = synthgen.generate_angle_set(4)
@@ -182,6 +190,13 @@ class TestCsvExport:
         synthgen.export_dataset_csv(axes, angles, path)
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(back, rows)
+
+    def test_deterministic_bytes(self, tmp_path):
+        axes, angles = [[0.5, 0.5, np.sqrt(0.5)]], [1.234567890123]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        synthgen.export_dataset_csv(axes, angles, a)
+        synthgen.export_dataset_csv(axes, angles, b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_bad_destination(self, tmp_path):
         with pytest.raises(OSError):
