@@ -25,16 +25,16 @@ scores every cell with one Student-t pass. Only the means take a loop
 over the block's steps: the scatter increments are one product over the
 grid, and one running sum along the steps adds them in the per-step
 order. The weight half (``step``) is the only per-step loop: it gathers
-its step's scores for the live hypotheses, normalises, writes the
-newborn and the grown hypotheses into the block's preallocated record
+its step's scores for the live hypotheses, normalises, writes the log
+weights into its row of a (step, hypothesis) grid of the block's shape
 and hands over to pruning; the block's run lengths and weights are read
-from the record once, at its end, into two output arrays that grow in
-place, so the posterior is never held twice. A block holds at most
-``_BLOCK_CELLS`` cells and at most max(8, live) steps, so its length
-follows the live count. Every cell gets the arithmetic the
-step-at-a-time recursion would give it, so the block length changes no
-bit of the posterior, and a step raises exactly the errors it would
-raise on its own.
+from that grid once, at its end, with one mask of its nonzero weights,
+into two output arrays that grow in place, so the posterior is never
+held twice. A block holds at most ``_BLOCK_CELLS`` cells and at most
+max(8, live) steps, so its length follows the live count. Every cell
+gets the arithmetic the step-at-a-time recursion would give it, so the
+block length changes no bit of the posterior, and a step raises exactly
+the errors it would raise on its own.
 """
 
 from __future__ import annotations
@@ -273,18 +273,16 @@ class HypothesisSet:
         # first, then the h live when it was scored; ``_counts`` (b+1, b+h),
         # ``_means`` (d, b+1, b+h) and ``_scatters`` (d(d+1)/2, b+1, b+h)
         # hold each column's count and statistics before each of the b steps
-        # and after the last, ``_log_pred`` (b, b+h) the log predictives, and
-        # ``_not_pd`` the cells whose scale is not positive definite (None
-        # when there are none). ``_row`` is the next step.
+        # and after the last, ``_log_pred`` (b, b+h) the log predictives,
+        # ``_record`` (b, b+h) each step's normalised log weights at its live
+        # columns and -inf elsewhere, and ``_not_pd`` the cells whose scale is
+        # not positive definite (None when there are none). ``_row`` is the
+        # next step.
         self._counts = np.zeros((1, 1), dtype=int)
         self._means = np.zeros((d, 1, 1))
         self._scatters = np.zeros((len(self._upper[0]), 1, 1))
-        self._log_pred, self._not_pd, self._row = np.empty((0, 1)), None, 0
-        # The block's steps, one after another: each step's block columns
-        # and log weights, newborn first, and where each step's entries end.
-        # The live state may be views of the last step's entries, so a step
-        # writes only past them and ``prune`` makes new arrays.
-        self._record = (np.zeros(0, dtype=int), np.zeros(0), [0])
+        self._log_pred, self._record = np.empty((0, 1)), np.empty((0, 1))
+        self._not_pd, self._row = None, 0
         # per live hypothesis: block column and log weight
         self._state = (np.zeros(1, dtype=int), np.zeros(1))
 
@@ -348,9 +346,7 @@ class HypothesisSet:
         self._counts, self._means, self._scatters, self._log_pred = counts, means, scatters, log_pred
         self._not_pd = not_pd if not_pd.any() else None
         self._row = 0
-        # step r holds at most h + r hypotheses and adds one
-        size = b * h + b * (b + 1) // 2
-        self._record = (np.empty(size, dtype=int), np.empty(size), [0])
+        self._record = np.full((b, b + h), -np.inf)
         self._state = (np.arange(b, b + h), log_weights)
 
     def prune(self, threshold: float) -> None:
@@ -377,9 +373,10 @@ def step(hypotheses: HypothesisSet, hazard: HazardConfig) -> HypothesisSet:
     All bookkeeping is in log space with log-sum-exp normalisation. This
     is the weight half of the recursion: it reads the next row of the
     block the set has scored (``HypothesisSet.score``), which must have a
-    row left. The step's hypotheses, newborn first, go to the block's
-    record, and the set is updated in place and returned before any
-    pruning; a step that raises leaves its hypotheses unchanged.
+    row left. The step's log weights go to its row of the block's grid
+    at its hypotheses' columns, and the set is updated in place and
+    returned before any pruning; a step that raises leaves its
+    hypotheses unchanged.
     ``infer_posterior`` looks ``step`` up on this module once per
     observation, so a wrapper put in its place (``perfbench/tracing.py``)
     sees every step and each step's live count.
@@ -387,9 +384,7 @@ def step(hypotheses: HypothesisSet, hazard: HazardConfig) -> HypothesisSet:
     row, (columns, log_weights) = hypotheses._row, hypotheses._state
     if hypotheses._not_pd is not None and hypotheses._not_pd[row, columns].any():
         raise _not_positive_definite()
-    record_columns, record_log_weights, ends = hypotheses._record
-    start, end = ends[-1], ends[-1] + len(columns) + 1
-    scored = record_log_weights[start:end]
+    scored = np.empty(len(columns) + 1)
     grown = scored[1:]
     np.add(log_weights, hypotheses._log_pred[row].take(columns), out=grown)
     # growth and reset masses both scale the same predictive mixture, so
@@ -401,10 +396,10 @@ def step(hypotheses: HypothesisSet, hazard: HazardConfig) -> HypothesisSet:
     grown += math.log1p(-hazard.p)
     grown -= evidence
     scored[0] = evidence + math.log(hazard.p) - evidence
-    new_columns = record_columns[start:end]
+    new_columns = np.empty(len(scored), dtype=int)
     new_columns[0] = len(hypotheses._log_pred) - 1 - row
     new_columns[1:] = columns
-    ends.append(end)
+    hypotheses._record[row].put(new_columns, scored)
     hypotheses._state, hypotheses._row = (new_columns, scored), row + 1
     return hypotheses
 
@@ -464,20 +459,19 @@ def infer_posterior(values, prior: NormalWishartParams, hazard: HazardConfig,
             hyps = step(hyps, hazard)
             if prune_threshold is not None:
                 hyps.prune(prune_threshold)
-        # the steps wrote their columns one after another into the record
-        columns, log_weights, ends = hyps._record
-        rows = np.repeat(np.arange(1, len(block) + 1), np.diff(ends))
-        w = np.exp(log_weights[:ends[-1]])
+        # A newborn takes the lowest column and ``prune`` keeps the order, so
+        # every step's live columns ascend: read row by row, the grid gives
+        # each step's hypotheses newest first, as the posterior stores them.
+        w = np.exp(hyps._record)
         nonzero = w > 0.0
         kept = np.count_nonzero(nonzero)
         if filled + kept > len(weights):
             for out in (run_lengths, weights):
                 out.resize((filled + kept) * 5 // 4, refcheck=False)
-        np.compress(nonzero, hyps._counts[rows, columns[:ends[-1]]],
-                    out=run_lengths[filled:filled + kept])
-        np.compress(nonzero, w, out=weights[filled:filled + kept])
+        np.compress(nonzero.ravel(), hyps._counts[1:], out=run_lengths[filled:filled + kept])
+        np.compress(nonzero.ravel(), w, out=weights[filled:filled + kept])
         filled += kept
-        stored.extend(np.add.reduceat(nonzero, ends[:-1], dtype=int).tolist())
+        stored.extend(np.count_nonzero(nonzero, axis=1).tolist())
     for out in (run_lengths, weights):
         out.resize(filled, refcheck=False)
     return RunLengthPosterior(np.cumsum(stored), run_lengths, weights)

@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions", type=int, default=20)
     p.add_argument("--base-seed", type=int, default=1)
     p.add_argument("--variants", default="all",
-                   help="comma list from: " + ",".join(pipeline.VARIANTS))
+                   help="comma list, each once, from: " + ",".join(pipeline.VARIANTS))
     p.add_argument("--workers", type=int, default=1)
     _add_inference_flags(p)
     _add_session_flags(p)

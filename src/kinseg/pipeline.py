@@ -217,8 +217,10 @@ def run_variant_sweep(
     the first session runs.
     """
     variants = tuple(variants)
-    for v in variants:
+    for i, v in enumerate(variants):
         variant_settings(v)
+        if v in variants[:i]:
+            raise ValueError(f"variant {v!r} is listed twice")
     jobs = [
         (replace(session_config, seed=int(seed)), variants, base) for seed in seeds
     ]

@@ -150,9 +150,15 @@ def segments_to_csv(segments, path) -> int:
 
 def read_segments_csv(path) -> list[Segment]:
     """Read segments written by ``segments_to_csv``. A changepoint index
-    must be integral and appear on one row only; the first row that breaks
-    either rule is named, and a repeat also names the row it repeats."""
+    must lie in [0, 2**53), be integral and appear on one row only; the
+    first row that breaks a rule is named, and a repeat also names the row
+    it repeats."""
     _, rows = tables.read_csv(path, [SEGMENTS_HEADER])
+    # checked before the cast, which a float outside int64 would not survive
+    outside = ~((rows[:, 0] >= 0.0) & (rows[:, 0] < 2.0 ** 53))
+    if np.any(outside):
+        raise ValueError(f"{path}: changepoint index out of range at data row "
+                         f"{np.argmax(outside) + 1}")
     changepoints = rows[:, 0].astype(int)
     bad = changepoints != rows[:, 0]
     if np.any(bad):

@@ -54,7 +54,7 @@ def scored_step(hyps, o, hazard):
 
 # Largest absolute weight difference allowed against the reference kernel,
 # which factors each scale by LAPACK in another order. Measured maxima over
-# the TestKernelPin cases at one BLAS thread: 8.2e-15 under the informative
+# the TestKernelPin cases at one BLAS thread: 1.3e-14 under the informative
 # prior and 4.4e-9 under the noninformative one, whose short windows give
 # nearly singular scales (a cofactor expansion of them is off by 2.8e-5).
 WEIGHT_ATOL = {informative_prior: 1e-13, noninformative_prior: 1e-8}
@@ -663,6 +663,14 @@ class TestKernelPin:
         # posture segments: weights underflow and pruning drops hypotheses
         vals = simulate.generate_session(simulate.SessionConfig(seed=3)).series.values[:400]
         self._assert_pinned(vals, prior(), HazardConfig(0.01), prune, WEIGHT_ATOL[prior])
+
+    def test_long_pruned_night(self):
+        # the first 2,000 steps of the seed-1 night: 94 blocks, a count table
+        # that grows four times, and pruning inside blocks
+        config = simulate.SessionConfig(seed=1, postures=30, replications=8)
+        vals = simulate.generate_session(config).series.values[:2000]
+        self._assert_pinned(vals, informative_prior(), HazardConfig(0.01), 1e-12,
+                            WEIGHT_ATOL[informative_prior])
 
     @pytest.mark.parametrize("prune", [None, 1e-12], ids=["exact", "pruned"])
     def test_two_dimensional_prior(self, prune):

@@ -541,6 +541,19 @@ class TestEvalCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("changepoint", ["1e20", "-5"])
+    def test_out_of_range_changepoint_exit_1_names_the_row(self, session_dir, tmp_path,
+                                                           capsys, changepoint):
+        segments = tmp_path / "segments.csv"
+        segments.write_text(f"changepoint_idx,duration,start_idx\n10,10,0\n{changepoint},20,10\n")
+        out = tmp_path / "eval.json"
+        rc = run_cli("eval", "--predicted", str(segments), "--labels",
+                     str(session_dir / "labels.csv"), "--out", str(out))
+        assert rc == 1
+        assert (f"{segments}: changepoint index out of range at data row 2"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_repeated_changepoint_exit_1_names_the_row(self, session_dir, tmp_path, capsys):
         segments = tmp_path / "segments.csv"
         segments.write_text("changepoint_idx,duration,start_idx\n"
@@ -673,6 +686,8 @@ INVALID_SETTINGS = {
     "run_prune_1": (["run", "--prune", "1"], "prune_threshold must lie in (0, 1)"),
     "sweep_variants": (["sweep", "--sessions", "1", "--variants", "bogus"],
                        "unknown variant 'bogus'"),
+    "sweep_repeated_variant": (["sweep", "--sessions", "1", "--variants", "adr_post,adr_post"],
+                               "variant 'adr_post' is listed twice"),
     "sweep_hazard": (["sweep", "--sessions", "1", "--hazard", "1.5"],
                      "hazard changepoint probability"),
     "sweep_sessions": (["sweep", "--sessions", "0"], "sessions must be at least 1"),

@@ -7,7 +7,8 @@ Runs one command set twice: with the ``src`` tree of the base revision
 working tree's. Each run starts in a fresh directory and uses the same
 relative paths, so paths echoed into ``report.json`` compare equal as
 they are. BLAS is held to one thread. Every file either run wrote, and
-each command's stdout, is then compared. A file prints "identical", or
+each command's stdout and stderr, is then compared, so a new warning or
+a reworded message shows as a differing file. A file prints "identical", or
 the count and the largest absolute difference of the numeric cells that
 differ, or why it cannot be compared cell by cell. The exit code is 0
 when every file is identical and 1 otherwise.
@@ -117,18 +118,26 @@ FULL = QUICK + [
 
 def run_set(commands, src, run_dir) -> None:
     """Run ``commands`` in ``run_dir`` with kinseg from ``src``; each CLI
-    command's stdout goes to ``stdout/<its index>.txt``."""
+    command's stdout goes to ``stdout/<its index>.txt`` and its stderr to
+    ``stderr/<its index>.txt``."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("KINSEG_OUT_DIR", None)  # it would redirect every output directory
-    os.makedirs(os.path.join(run_dir, "stdout"))
+    for stream in ("stdout", "stderr"):
+        os.makedirs(os.path.join(run_dir, stream))
     for i, command in enumerate(commands):
         if callable(command):
             command(run_dir)
             continue
-        with open(os.path.join(run_dir, "stdout", f"{i:02d}.txt"), "wb") as out:
-            subprocess.run([sys.executable, "-m", "kinseg.cli", *command], cwd=run_dir, env=env,
-                           stdout=out, check=True)
+        stderr = os.path.join(run_dir, "stderr", f"{i:02d}.txt")
+        with open(os.path.join(run_dir, "stdout", f"{i:02d}.txt"), "wb") as out, \
+                open(stderr, "wb") as err:
+            done = subprocess.run([sys.executable, "-m", "kinseg.cli", *command], cwd=run_dir,
+                                  env=env, stdout=out, stderr=err)
+        if done.returncode:  # show why before the run directory is removed
+            with open(stderr) as err:
+                sys.stderr.write(err.read())
+            done.check_returncode()
 
 
 _SEPARATORS = re.compile(rb"[\s,:\[\]{}]+")
