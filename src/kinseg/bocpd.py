@@ -39,7 +39,6 @@ the errors it would raise on its own.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -414,8 +413,9 @@ class RunLengthPosterior:
     zero, so memory scales with the live hypotheses, not with T²: 8 bytes
     a stored cell for the weight and 1 to 4 for the run length, in the
     narrowest unsigned type that holds T (10 on a night of 8,640 steps).
-    ``layout``, the row index both dense writers share, is made on first
-    use and kept (6 bytes a cell on a night).
+    Hypotheses are listed newest first, so run lengths ascend within a
+    column, and the dense writers read the rows by merging the columns
+    (``tables.matrix_rows``).
     """
 
     indptr: np.ndarray
@@ -425,10 +425,6 @@ class RunLengthPosterior:
     @property
     def size(self) -> int:  # T + 1, the matrix's rows and columns
         return len(self.indptr) - 1
-
-    @functools.cached_property
-    def layout(self) -> tables.MatrixLayout:
-        return tables.matrix_layout(self.size, self.run_lengths, self.indptr)
 
 
 def infer_posterior(values, prior: NormalWishartParams, hazard: HazardConfig,
@@ -480,7 +476,8 @@ def infer_posterior(values, prior: NormalWishartParams, hazard: HazardConfig,
 def posterior_to_csv(posterior: RunLengthPosterior, path) -> None:
     """Dense CSV export of the posterior matrix (rows = run length, columns =
     time), each cell as ``%.9g``."""
-    tables.write_matrix_text(path, posterior.layout, posterior.weights, "%.9g", ",")
+    tables.write_matrix_text(path, posterior.indptr, posterior.run_lengths, posterior.weights,
+                             "%.9g", ",")
 
 
 def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
@@ -502,4 +499,5 @@ def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
         np.divide(weights[a:b], level, out=level)
         level *= 255.0
         gray[a:b] = np.rint(level, out=level)
-    tables.write_matrix_text(path, posterior.layout, gray, "%d", " ", f"P2\n{n} {n}\n255\n")
+    tables.write_matrix_text(path, posterior.indptr, run_lengths, gray, "%d", " ",
+                             f"P2\n{n} {n}\n255\n")

@@ -171,7 +171,6 @@ def run_pipeline(config: PipelineConfig, series: kinematics.EmbeddingSeries) -> 
     os.makedirs(out, exist_ok=True)
     segmentation.segments_to_csv(segments, os.path.join(out, "segments.csv"))
     segmentation.write_runlength_csv(os.path.join(out, "runlength.csv"), raw_trace, post_trace)
-    posterior.layout  # the writers' shared layout, built before either so neither pays for it
     bocpd.posterior_to_csv(posterior, os.path.join(out, "posterior.csv"))
     bocpd.posterior_to_pgm(posterior, os.path.join(out, "posterior.pgm"))
     segmentation.report_to_json(report, os.path.join(out, "report.json"))
@@ -228,6 +227,7 @@ def run_variant_sweep(
         raise ValueError("sessions must be at least 1: no seeds given")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, len(jobs))  # a pool starts all its workers at once
     if workers > 1:
         # imported here: the pool machinery costs every CLI process ~20 ms to import
         from concurrent.futures import ProcessPoolExecutor

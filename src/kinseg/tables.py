@@ -6,11 +6,13 @@ empty field, and ``\\r\\n`` line ends unless a caller asks for another.
 Records given as Python rows go through ``csv.writer``; a 2D float
 array is formatted in numpy with the same bytes (see ``write_csv``). A
 Cartesian product of two float arrays formats each row of each array
-once. A dense matrix with few stored cells is written in binary from a
-row index of its stored cells that callers can keep (6 bytes a cell),
-one row of cells converted to Python scalars at a time: zero stretches
-are slices of one zero row, a row with no stored cell is one prebuilt
-line, and lines go through a buffer of ``WRITE_BYTES``.
+once. A dense matrix with few stored cells is written in binary
+straight from its column store, whose rows ascend within each column:
+its rows are a merge of the columns, walked with one position per
+column and no row index. One row of cells is converted to Python
+scalars at a time, zero stretches are slices of one zero row, a row
+with no stored cell is one prebuilt line, and lines go through a buffer
+of ``WRITE_BYTES``.
 Every file is written to a temporary name beside its path and
 renamed into place, so a failed write leaves no partial file. Tables
 are read back with a header check and a vectorised numeric parse that
@@ -25,7 +27,6 @@ import functools
 import json
 import os
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 
@@ -304,19 +305,6 @@ def write_product_csv(path, header, left, right) -> None:
     _write_table(path, header, "\r\n", write_body)
 
 
-class MatrixLayout(NamedTuple):
-    """A compressed sparse row index of an n x n matrix's stored cells:
-    row r holds the ordered cells ``row_ptr[r]`` up to ``row_ptr[r + 1]``
-    in column order, and ordered cell i is stored cell ``order[i]`` (int32
-    below 2^31 cells), at column ``cols[i]`` (the narrowest unsigned type
-    that holds n): 6 bytes a cell up to 65,536 columns."""
-
-    n: int
-    order: np.ndarray
-    row_ptr: np.ndarray
-    cols: np.ndarray
-
-
 def column_chunks(indptr):
     """(start, end) column ranges of whole columns, ``CHUNK_CELLS`` cells
     or one column each, of a matrix stored column by column at ``indptr``."""
@@ -327,64 +315,56 @@ def column_chunks(indptr):
         start = end
 
 
-def matrix_layout(n, rows, indptr) -> MatrixLayout:
-    """The layout of an n x n matrix's stored cells, given column by
-    column: column c holds the cells ``indptr[c]`` up to ``indptr[c + 1]``,
-    at rows ``rows[indptr[c]:indptr[c + 1]]``.
+def matrix_rows(indptr, rows):
+    """Walk a matrix stored column by column, row by row: column c holds
+    the cells ``indptr[c]`` up to ``indptr[c + 1]``, at rows
+    ``rows[indptr[c]:indptr[c + 1]]``, which ascend within each column.
 
-    A counting sort: one ``np.bincount`` of ``rows`` gives each row's
-    offset, and each ``column_chunks`` chunk's cells go to their rows'
-    next free offsets in the order of a stable argsort of their rows, so
-    each row's cells stay in column order. No full-size array is made
-    but ``order``, ``cols`` and, before them, the bincount's intp copy
-    of narrow ``rows`` (8 bytes a cell).
+    Yields ``(r, columns, cells)`` for each row r that holds a stored
+    cell, in ascending r: the row's columns, ascending, and the positions
+    of its cells in the store. The walk keeps each column that still has
+    a stored cell and that cell's position; the next row is the least
+    row among those cells, and the columns whose cell is on it advance.
     """
-    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    order = np.empty(len(rows), dtype=np.int32 if len(rows) < 2 ** 31 else np.int64)
-    cols = np.empty(len(rows), dtype=np.min_scalar_type(n))
-    free = row_ptr[:-1].copy()  # each row's next free offset
-    for start, end in column_chunks(indptr):
-        a, b = indptr[start], indptr[end]
-        if a == b:  # no stored cell
-            continue
-        cells = np.argsort(rows[a:b], kind="stable")
-        r = rows[a:b][cells]
-        heads = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))  # each row's first
-        used, counts = r[heads], np.diff(heads, append=b - a)
-        places = np.repeat(free[used] - heads, counts) + np.arange(b - a)
-        free[used] += counts
-        column = np.repeat(np.arange(start, end, dtype=cols.dtype), np.diff(indptr[start:end + 1]))
-        cols[places] = column[cells]
-        order[places] = (cells + a).astype(order.dtype)  # a scatter that casts is slower
-    return MatrixLayout(n, order, row_ptr, cols)
+    live = np.flatnonzero(np.diff(indptr))  # columns with a stored cell left
+    nxt, end = indptr[live], indptr[live + 1]  # each one's next cell, and its end
+    while live.size:
+        at = rows[nxt]
+        r = at.min()
+        hit = np.flatnonzero(at == r)
+        yield int(r), live[hit], nxt[hit]
+        nxt[hit] += 1
+        left = nxt < end
+        if not left.all():
+            live, nxt, end = live[left], nxt[left], end[left]
 
 
-def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:
+def write_matrix_text(path, indptr, rows, cells, fmt, sep, header="") -> None:
     """Write an n x n matrix as text, ``header`` then one line per row.
 
-    ``cells`` are the stored cells in the order ``layout`` was made
-    from; each prints as ``fmt % cell`` and every other cell as 0.
-    Cells are separated by ``sep``. Only one row's cells are Python
-    scalars at a time, so the write adds about one row to memory. Each
-    stretch of adjacent stored cells in a row, found as the row is
-    written, is formatted in one go, each zero stretch is a slice of one
-    zero row, and a row with no stored cell is one prebuilt line. Lines
-    go to the file in binary, through a buffer of ``WRITE_BYTES``.
+    The matrix is stored column by column as ``matrix_rows`` reads it,
+    with ``cells`` in the store's order; each prints as ``fmt % cell``
+    and every other cell as 0. Cells are separated by ``sep``. Only one
+    row's cells are Python scalars at a time, so the write adds about one
+    row to memory. Each stretch of adjacent stored cells in a row, found
+    as the row is written, is formatted in one go, each zero stretch is a
+    slice of one zero row, and a row with no stored cell is one prebuilt
+    line. Lines go to the file in binary, through a buffer of
+    ``WRITE_BYTES``.
     """
-    n, order, row_ptr, cols = layout
-    cells, bounds = np.asarray(cells), row_ptr.tolist()
+    n, cells = len(indptr) - 1, np.asarray(cells)
     zeros, item, width = ("0" + sep) * n, fmt + sep, 1 + len(sep)
     empty = (zeros[:-len(sep)] + "\n").encode()
 
     def write(tmp):
         with open(tmp, "wb", buffering=WRITE_BYTES) as fh:
             fh.write(header.encode())
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                if a == b:
+            done = 0  # rows written
+            for r, row_cols, at in matrix_rows(indptr, rows):
+                for _ in range(r - done):
                     fh.write(empty)
-                    continue
-                row, row_cols, starts = cells[order[a:b]].tolist(), cols[a:b], [0, b - a]
-                if row_cols[-1] - row_cols[0] >= b - a:  # more than one stretch
+                row, starts = cells[at].tolist(), [0, len(at)]
+                if row_cols[-1] - row_cols[0] >= len(at):  # more than one stretch
                     # a stretch starts where the column does not go up by 1
                     starts[1:1] = (np.flatnonzero(np.diff(row_cols) != 1) + 1).tolist()
                 pieces, filled = [], 0
@@ -394,6 +374,9 @@ def write_matrix_text(path, layout, cells, fmt, sep, header="") -> None:
                     filled = col + e - s
                 pieces.append(zeros[:(n - filled) * width])
                 fh.write(("".join(pieces)[:-len(sep)] + "\n").encode())
+                done = r + 1
+            for _ in range(n - done):
+                fh.write(empty)
 
     atomic_write(path, write)
 

@@ -521,10 +521,9 @@ class TestExports:
 
     def test_pgm_gray_levels_per_stored_cell(self, tmp_path, monkeypatch):
         P = banded_posterior(2000, 300)  # 555,150 cells
-        P.layout  # built outside the measurement
         grays = []
 
-        def record(path, layout, cells, *args):  # stands in for the writer
+        def record(path, indptr, rows, cells, *args):  # stands in for the writer
             grays.append(cells)
 
         monkeypatch.setattr(tables, "write_matrix_text", record)
@@ -538,7 +537,7 @@ class TestExports:
 class TestPosteriorPathMemory:
     def test_after_inference_per_stored_cell(self, tmp_path):
         """What a run holds after inference beyond the posterior itself:
-        the estimate, the shared layout and both writers."""
+        the estimate and both writers."""
         session = simulate.generate_session(simulate.SessionConfig(seed=7, replications=3))
         P = infer_posterior(session.series.values[:1000], informative_prior(),
                             HazardConfig(0.01))
@@ -546,17 +545,16 @@ class TestPosteriorPathMemory:
 
         def after_inference():
             segmentation.lms_estimate(P)
-            P.layout
             bocpd.posterior_to_csv(P, tmp_path / "posterior.csv")
             bocpd.posterior_to_pgm(P, tmp_path / "posterior.pgm")
 
         peak = traced_peak(after_inference)
-        # the layout's bincount of the run lengths (8 bytes a cell, freed
-        # before the index is made), then its int32 order and 2-byte
-        # columns and the writers' Python rows: 8.3 bytes a cell measured;
-        # 12.3 with a full-size int64 argsort beside the order, and over 18
-        # with full-size temporaries in the estimate and the gray levels
-        assert peak < 9 * len(P.weights), f"{peak / len(P.weights):.1f} bytes per stored cell"
+        # the PGM's one-byte gray levels, chunk-sized temporaries and the
+        # writers' Python rows: 2.3 bytes a cell measured; 8.3 with a row
+        # index of the stored cells (an 8-byte bincount, then a 4-byte
+        # order and 2-byte columns), and over 18 with full-size
+        # temporaries in the estimate and the gray levels
+        assert peak < 4 * len(P.weights), f"{peak / len(P.weights):.1f} bytes per stored cell"
 
 
 def _two_posture_series():

@@ -271,20 +271,3 @@ class TestCsvInterfaces:
         assert kind == "quaternion"
         assert vals.shape == (1, 4)
 
-    def test_unknown_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            kinematics.read_orientation_csv(path)
-
-    def test_malformed_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,o1,o2,o3\n0.0,1.5,zzz,0.0\n")
-        with pytest.raises(ValueError):
-            kinematics.read_orientation_csv(path)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            kinematics.read_orientation_csv(path)

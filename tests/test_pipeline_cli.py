@@ -406,8 +406,9 @@ class TestFullNight:
         assert code == 0
         # the run's own memory, over what importing the CLI takes (the
         # interpreter and numpy, no scipy: 30.4 MB on Python 3.11, numpy 2.4):
-        # measured 9.0 MB at one BLAS thread, 13.6 MB with full-size
-        # temporaries after inference; a dense (T+1)^2 posterior took 1.8 GB
+        # measured 6.6 MB at one BLAS thread, 8.2 MB with a row index of the
+        # stored cells, 13.6 MB with full-size temporaries after inference;
+        # a dense (T+1)^2 posterior took 1.8 GB
         _, baseline_mb = cli_peak_mb([], _cli_env(), tmp_path / "baseline")
         assert peak_mb - baseline_mb < 12, f"peak RSS {peak_mb:.1f} MB over {baseline_mb:.1f} MB"
         report = json.loads((out / "report.json").read_text())
@@ -424,11 +425,11 @@ class TestFullNight:
                                     _cli_env(), tmp_path / "peak")
         assert code == 0
         # the run's own memory over what importing the CLI takes: measured
-        # 24.3 MB at one BLAS thread (the 10-byte posterior, then the row
-        # index: an 8-byte bincount, then a 4-byte order and 2-byte columns);
-        # 30.4 MB with a full-size int64 argsort beside the order
+        # 19.6 MB at one BLAS thread (the 10-byte posterior; the writers add
+        # one row at a time); 26.5 MB with a row index of the stored cells
+        # (an 8-byte bincount, then a 4-byte order and 2-byte columns)
         _, baseline_mb = cli_peak_mb([], _cli_env(), tmp_path / "baseline")
-        assert peak_mb - baseline_mb < 28, f"peak RSS {peak_mb:.1f} MB over {baseline_mb:.1f} MB"
+        assert peak_mb - baseline_mb < 24, f"peak RSS {peak_mb:.1f} MB over {baseline_mb:.1f} MB"
 
 
 class TestBlasThreads:
@@ -628,6 +629,32 @@ class TestSweep:
         serial = pipeline.run_variant_sweep(config, [1, 2, 3], base, workers=1)
         parallel = pipeline.run_variant_sweep(config, [1, 2, 3], base, workers=2)
         assert serial == parallel
+
+    def test_at_most_one_worker_per_session(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class SerialPool:  # records its size and maps in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        config = simulate.SessionConfig(postures=4, replications=1, seed=0)
+        base = PipelineConfig(input_path="<simulated>", output_dir=str(tmp_path), decimation=1)
+        pipeline.run_variant_sweep(config, [1, 2], base, workers=64)
+        assert pools == [2]
+        pipeline.run_variant_sweep(config, [1], base, workers=64)
+        assert pools == [2]  # one session runs serially, with no pool
 
     @pytest.mark.parametrize("flag,value", [("--sessions", "0"), ("--workers", "0")])
     def test_nonpositive_count_exit_1(self, tmp_path, capsys, flag, value):

@@ -187,7 +187,7 @@ MASKS = {
 class TestMatrixWriter:
     """``write_matrix_text`` against every cell of the dense matrix."""
 
-    # each size is the cells of a chunk of the layout's passes
+    # each size is a ``CHUNK_CELLS`` that the writer must not depend on
     @pytest.mark.parametrize("size", [1, 3, 64, tables.WRITE_BYTES])
     @pytest.mark.parametrize("name", list(MASKS))
     def test_matches_dense_reference(self, tmp_path, monkeypatch, name, size):
@@ -196,7 +196,6 @@ class TestMatrixWriter:
         n = len(mask)
         cols, rows = np.nonzero(mask.T)  # stored cells ordered by column
         indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=0))))
-        layout = tables.matrix_layout(n, rows, indptr)
         rng = np.random.default_rng(n)
         floats = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(-320, 300, len(rows))
         grays = rng.integers(0, 256, len(rows))  # a stored cell may print as 0
@@ -204,8 +203,8 @@ class TestMatrixWriter:
         for cells, fmt, sep, head in ((floats, "%.9g", ",", ""), (grays, "%d", " ", header)):
             dense = np.zeros((n, n), dtype=cells.dtype)
             dense[rows, cols] = cells
-            got = written(tmp_path, lambda p: tables.write_matrix_text(p, layout, cells, fmt,
-                                                                      sep, head))
+            got = written(tmp_path, lambda p: tables.write_matrix_text(p, indptr, rows, cells,
+                                                                      fmt, sep, head))
             assert got == dense_text(dense, fmt, sep, head), fmt
 
     def test_gathered_writes(self, tmp_path, monkeypatch):
@@ -214,7 +213,7 @@ class TestMatrixWriter:
         vals = np.repeat(means, 40, axis=0) + 0.02 * rng.standard_normal((800, 3))
         P = bocpd.infer_posterior(vals, bocpd.informative_prior(), bocpd.HazardConfig(0.01),
                                   prune_threshold=1e-12)
-        assert np.mean(np.diff(P.layout.row_ptr) == 0) > 0.8  # mostly empty rows
+        assert np.mean(np.bincount(P.run_lengths, minlength=P.size) == 0) > 0.8  # mostly empty rows
         for write in (bocpd.posterior_to_csv, bocpd.posterior_to_pgm):
             sizes = []
             monkeypatch.setattr(tables, "open", _spying_open(sizes), raising=False)
@@ -235,26 +234,25 @@ class TestMatrixWriter:
         cells = np.random.default_rng(0).random(len(rows))
         tracemalloc.start()
         try:
-            layout = tables.matrix_layout(n, rows, indptr)
-            tables.write_matrix_text(tmp_path / "m.csv", layout, cells, "%.9g", ",")
+            tables.write_matrix_text(tmp_path / "m.csv", indptr, rows, cells, "%.9g", ",")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the layout's int32 order and 2-byte columns, the writer's gathered
-        # writes and one row as Python floats: 10.2 bytes a cell measured
-        # (12.0 with a full-size int64 argsort beside the order, 17.0 with
-        # a full-size stretch test too); converting every cell at once
-        # costs over 32 bytes a cell
-        assert peak < 11 * len(cells), f"{peak / len(cells):.1f} bytes per stored cell"
+        # the writer's 256 KiB buffer, the walk's three arrays of one
+        # entry per column and one row as Python floats: 2.8 bytes a cell
+        # measured (10.4 with a row index of int32 order and 2-byte columns,
+        # 12.0 with a full-size int64 argsort beside the order); converting
+        # every cell at once costs over 32 bytes a cell
+        assert peak < 4 * len(cells), f"{peak / len(cells):.1f} bytes per stored cell"
 
 
 class TestMatrixLayout:
-    """``matrix_layout`` of a matrix too large to write, against the
+    """``matrix_rows`` of a matrix too large to write, against the
     row-major cells ``np.nonzero`` gives for the dense block of the rows and
     columns that hold them."""
 
     # n (n + 1) passes 2^31 at n = 46,341, and a column no longer fits in
-    # 2 bytes at n = 65,537
+    # 2 bytes at n = 65,537; the walk must not depend on ``CHUNK_CELLS``
     @pytest.mark.parametrize("chunk", [7, tables.CHUNK_CELLS])
     @pytest.mark.parametrize("n", [50_000, 70_000])
     def test_large_sparse_matrix(self, monkeypatch, n, chunk):
@@ -276,14 +274,13 @@ class TestMatrixLayout:
         storage.T[block.T] = np.arange(len(rows))
         block_rows, block_cols = np.nonzero(block)  # row-major
         r, c = used_rows[block_rows], used_cols[block_cols]
-        layout = tables.matrix_layout(n, rows, indptr)
-        assert layout.n == n
-        assert layout.order.dtype == np.int32
-        assert np.array_equal(layout.order, storage[block])
-        assert np.array_equal(layout.row_ptr, np.concatenate(([0], np.cumsum(
-            np.bincount(r, minlength=n)))))
-        assert layout.cols.dtype == np.min_scalar_type(n)
-        assert np.array_equal(layout.cols, c)
+        walked = list(tables.matrix_rows(indptr, rows))
+        # one entry per row that holds a cell, in ascending row order
+        assert [row for row, _, _ in walked] == np.unique(r).tolist()
+        assert np.array_equal(np.concatenate([np.full(len(cols), row)
+                                              for row, cols, _ in walked]), r)
+        assert np.array_equal(np.concatenate([cols for _, cols, _ in walked]), c)
+        assert np.array_equal(np.concatenate([at for _, _, at in walked]), storage[block])
         # a stretch that runs over adjacent columns, and rows of several stretches
         same_row, step = np.diff(r) == 0, np.diff(c)
         assert (same_row & (step == 1)).any() and (same_row & (step > 1)).any()
