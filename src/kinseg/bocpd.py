@@ -476,8 +476,8 @@ def infer_posterior(values, prior: NormalWishartParams, hazard: HazardConfig,
 def posterior_to_csv(posterior: RunLengthPosterior, path) -> None:
     """Dense CSV export of the posterior matrix (rows = run length, columns =
     time), each cell as ``%.9g``."""
-    tables.write_matrix_text(path, posterior.indptr, posterior.run_lengths, posterior.weights,
-                             "%.9g", ",")
+    rows = tables.matrix_rows(posterior.indptr, posterior.run_lengths, posterior.weights)
+    tables.write_matrix_text(path, posterior.size, rows, "%.9g", ",")
 
 
 def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
@@ -485,19 +485,10 @@ def posterior_to_pgm(posterior: RunLengthPosterior, path) -> None:
 
     Each row (run length) is normalised by its own maximum so long runs
     remain visible next to the dominant short ones; white is high
-    probability.
+    probability. A row's gray levels, rint(255 (weight / row max)), are
+    computed from its cells as the walk yields them.
     """
-    n, run_lengths, weights = posterior.size, posterior.run_lengths, posterior.weights
-    row_max = np.zeros(n)
-    np.maximum.at(row_max, run_lengths, weights)
-    # rint(255 (weight / row max)), ``tables.CHUNK_CELLS`` cells at a time,
-    # so only the byte per cell is full size
-    gray = np.empty(len(weights), dtype=np.uint8)
-    for a in range(0, len(weights), tables.CHUNK_CELLS):
-        b = a + tables.CHUNK_CELLS
-        level = row_max[run_lengths[a:b]]
-        np.divide(weights[a:b], level, out=level)
-        level *= 255.0
-        gray[a:b] = np.rint(level, out=level)
-    tables.write_matrix_text(path, posterior.indptr, run_lengths, gray, "%d", " ",
-                             f"P2\n{n} {n}\n255\n")
+    n = posterior.size
+    rows = tables.matrix_rows(posterior.indptr, posterior.run_lengths, posterior.weights)
+    gray = ((r, cols, np.rint(w / w.max() * 255.0).astype(np.uint8)) for r, cols, w in rows)
+    tables.write_matrix_text(path, n, gray, "%d", " ", f"P2\n{n} {n}\n255\n")

@@ -7,9 +7,9 @@ Records given as Python rows go through ``csv.writer``; a 2D float
 array is formatted in numpy with the same bytes (see ``write_csv``). A
 Cartesian product of two float arrays formats each row of each array
 once. A dense matrix with few stored cells is written in binary
-straight from its column store, whose rows ascend within each column:
-its rows are a merge of the columns, walked with one position per
-column and no row index. One row of cells is converted to Python
+from the rows of its column store, whose rows ascend within each
+column: its rows are a merge of the columns, walked with one position
+per column and no row index. One row of cells is converted to Python
 scalars at a time, zero stretches are slices of one zero row, a row
 with no stored cell is one prebuilt line, and lines go through a buffer
 of ``WRITE_BYTES``.
@@ -315,16 +315,16 @@ def column_chunks(indptr):
         start = end
 
 
-def matrix_rows(indptr, rows):
+def matrix_rows(indptr, rows, cells):
     """Walk a matrix stored column by column, row by row: column c holds
-    the cells ``indptr[c]`` up to ``indptr[c + 1]``, at rows
+    ``cells[indptr[c]:indptr[c + 1]]`` at rows
     ``rows[indptr[c]:indptr[c + 1]]``, which ascend within each column.
 
-    Yields ``(r, columns, cells)`` for each row r that holds a stored
-    cell, in ascending r: the row's columns, ascending, and the positions
-    of its cells in the store. The walk keeps each column that still has
-    a stored cell and that cell's position; the next row is the least
-    row among those cells, and the columns whose cell is on it advance.
+    Yields ``(r, columns, values)`` for each row r that holds a stored
+    cell, in ascending r: the row's columns, ascending, and their cells.
+    The walk keeps each column that still has a stored cell and that
+    cell's position; the next row is the least row among those cells, and
+    the columns whose cell is on it advance.
     """
     live = np.flatnonzero(np.diff(indptr))  # columns with a stored cell left
     nxt, end = indptr[live], indptr[live + 1]  # each one's next cell, and its end
@@ -332,27 +332,26 @@ def matrix_rows(indptr, rows):
         at = rows[nxt]
         r = at.min()
         hit = np.flatnonzero(at == r)
-        yield int(r), live[hit], nxt[hit]
+        yield int(r), live[hit], cells[nxt[hit]]
         nxt[hit] += 1
         left = nxt < end
         if not left.all():
             live, nxt, end = live[left], nxt[left], end[left]
 
 
-def write_matrix_text(path, indptr, rows, cells, fmt, sep, header="") -> None:
+def write_matrix_text(path, n, rows, fmt, sep, header="") -> None:
     """Write an n x n matrix as text, ``header`` then one line per row.
 
-    The matrix is stored column by column as ``matrix_rows`` reads it,
-    with ``cells`` in the store's order; each prints as ``fmt % cell``
-    and every other cell as 0. Cells are separated by ``sep``. Only one
-    row's cells are Python scalars at a time, so the write adds about one
-    row to memory. Each stretch of adjacent stored cells in a row, found
-    as the row is written, is formatted in one go, each zero stretch is a
-    slice of one zero row, and a row with no stored cell is one prebuilt
-    line. Lines go to the file in binary, through a buffer of
-    ``WRITE_BYTES``.
+    ``rows`` yields ``(r, columns, values)`` in ascending r, as
+    ``matrix_rows`` does, for the rows that hold a stored cell: each
+    value prints as ``fmt % value`` at its column, and every other cell
+    as 0. Cells are separated by ``sep``. Only one row's values are
+    Python scalars at a time, so the write adds about one row to memory.
+    Each stretch of adjacent stored cells in a row, found as the row is
+    written, is formatted in one go, each zero stretch is a slice of one
+    zero row, and a row with no stored cell is one prebuilt line. Lines
+    go to the file in binary, through a buffer of ``WRITE_BYTES``.
     """
-    n, cells = len(indptr) - 1, np.asarray(cells)
     zeros, item, width = ("0" + sep) * n, fmt + sep, 1 + len(sep)
     empty = (zeros[:-len(sep)] + "\n").encode()
 
@@ -360,11 +359,11 @@ def write_matrix_text(path, indptr, rows, cells, fmt, sep, header="") -> None:
         with open(tmp, "wb", buffering=WRITE_BYTES) as fh:
             fh.write(header.encode())
             done = 0  # rows written
-            for r, row_cols, at in matrix_rows(indptr, rows):
+            for r, row_cols, values in rows:
                 for _ in range(r - done):
                     fh.write(empty)
-                row, starts = cells[at].tolist(), [0, len(at)]
-                if row_cols[-1] - row_cols[0] >= len(at):  # more than one stretch
+                row, starts = values.tolist(), [0, len(values)]
+                if row_cols[-1] - row_cols[0] >= len(row):  # more than one stretch
                     # a stretch starts where the column does not go up by 1
                     starts[1:1] = (np.flatnonzero(np.diff(row_cols) != 1) + 1).tolist()
                 pieces, filled = [], 0

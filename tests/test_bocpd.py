@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_t
 
-from kinseg import bocpd, pipeline, segmentation, simulate, tables
+from kinseg import bocpd, pipeline, segmentation, simulate
 from kinseg.bocpd import (
     HazardConfig,
     HypothesisSet,
@@ -24,6 +24,7 @@ from util_data import (
     ReferenceHypothesisSet,
     banded_posterior,
     brute_force_posterior,
+    column_posterior,
     dense_matrix,
     dense_posterior_csv,
     dense_posterior_pgm,
@@ -519,19 +520,38 @@ class TestExports:
         bocpd.posterior_to_pgm(P, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_pgm_gray_levels_per_stored_cell(self, tmp_path, monkeypatch):
+    def test_pgm_gray_levels_per_stored_cell(self, tmp_path):
         P = banded_posterior(2000, 300)  # 555,150 cells
-        grays = []
-
-        def record(path, indptr, rows, cells, *args):  # stands in for the writer
-            grays.append(cells)
-
-        monkeypatch.setattr(tables, "write_matrix_text", record)
         peak = traced_peak(lambda: bocpd.posterior_to_pgm(P, tmp_path / "p.pgm"))
-        assert grays[0].dtype == np.uint8 and len(grays[0]) == len(P.weights)
-        # one byte a cell and chunk-sized float temporaries, 1.6 bytes a cell
-        # measured; float gray levels of every cell at once cost 9
-        assert peak < 2 * len(P.weights), f"{peak / len(P.weights):.1f} bytes per stored cell"
+        # gray levels one row at a time: the writer's 256 KiB buffer (0.47
+        # bytes a cell here), the walk and one row, 0.81 bytes a cell
+        # measured, bounded with a margin of about 50%; a one-byte gray
+        # level for every cell and chunk-sized float temporaries cost 2.04,
+        # float gray levels of every cell at once 9
+        assert peak < 1.2 * len(P.weights), f"{peak / len(P.weights):.2f} bytes per stored cell"
+
+    def test_pgm_rounding_at_ties_and_tiny_maxima(self, tmp_path):
+        # rows 0 and 1 put levels exactly on k + 0.5 (0.5, 1.5, 2.5 and 127.5
+        # of 255), where rint rounds half to even and int(x + 0.5) rounds up;
+        # at row 1's maximum of 1.1, (255 w) / max misses two of them.
+        # Row 2 holds one stored cell; row 3's maximum is the least
+        # subnormal, row 4's is subnormal and above it, and row 5 is at 1e-300
+        ties = [0.5, 1.5, 2.5, 127.5]
+        dense = np.zeros((7, 7))
+        dense[0, :5] = [*ties, 255.0]
+        dense[1, 2:7] = [t / 255.0 * 1.1 for t in ties] + [1.1]
+        dense[2, 3] = 0.25
+        dense[3, [0, 4]] = 5e-324
+        dense[4, [1, 2, 5]] = [5e-324, 1e-320, 2.5e-323]
+        dense[5, 1:6] = [1e-300, 3e-301, 5e-301, 2e-300, 7e-302]
+        levels = [row[row > 0.0] / row.max() * 255.0 for row in dense[:2]]
+        assert all(np.array_equal(level[:4], ties) for level in levels)
+        P = column_posterior([(np.flatnonzero(col), col[col > 0.0]) for col in dense.T])
+        ours, theirs = tmp_path / "ours.pgm", tmp_path / "reference.pgm"
+        bocpd.posterior_to_pgm(P, ours)
+        dense_posterior_pgm(dense, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert ours.read_text().splitlines()[3:5] == ["0 2 2 128 255 0 0", "0 0 0 2 2 128 255"]
 
 
 class TestPosteriorPathMemory:
@@ -549,12 +569,14 @@ class TestPosteriorPathMemory:
             bocpd.posterior_to_pgm(P, tmp_path / "posterior.pgm")
 
         peak = traced_peak(after_inference)
-        # the PGM's one-byte gray levels, chunk-sized temporaries and the
-        # writers' Python rows: 2.3 bytes a cell measured; 8.3 with a row
-        # index of the stored cells (an 8-byte bincount, then a 4-byte
-        # order and 2-byte columns), and over 18 with full-size
-        # temporaries in the estimate and the gray levels
-        assert peak < 4 * len(P.weights), f"{peak / len(P.weights):.1f} bytes per stored cell"
+        # the estimate's chunk-sized temporaries, then one writer at a time:
+        # its 256 KiB buffer (0.83 bytes a cell here), the walk and one row
+        # of Python scalars, 1.26 bytes a cell measured, bounded with a
+        # margin of about 25%; 2.3 with the PGM's one-byte gray levels of
+        # every cell, 8.3 with a row index of the stored cells (an 8-byte
+        # bincount, then a 4-byte order and 2-byte columns), and over 18
+        # with full-size temporaries in the estimate and the gray levels
+        assert peak < 1.6 * len(P.weights), f"{peak / len(P.weights):.2f} bytes per stored cell"
 
 
 def _two_posture_series():

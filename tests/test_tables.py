@@ -187,24 +187,23 @@ MASKS = {
 class TestMatrixWriter:
     """``write_matrix_text`` against every cell of the dense matrix."""
 
-    # each size is a ``CHUNK_CELLS`` that the writer must not depend on
+    # each size seeds the stored cells of a mask differently
     @pytest.mark.parametrize("size", [1, 3, 64, tables.WRITE_BYTES])
     @pytest.mark.parametrize("name", list(MASKS))
-    def test_matches_dense_reference(self, tmp_path, monkeypatch, name, size):
-        monkeypatch.setattr(tables, "CHUNK_CELLS", size)
+    def test_matches_dense_reference(self, tmp_path, name, size):
         mask = MASKS[name]
         n = len(mask)
         cols, rows = np.nonzero(mask.T)  # stored cells ordered by column
         indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=0))))
-        rng = np.random.default_rng(n)
+        rng = np.random.default_rng(n if size == 1 else (n, size))
         floats = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(-320, 300, len(rows))
         grays = rng.integers(0, 256, len(rows))  # a stored cell may print as 0
         header = f"P2\n{n} {n}\n255\n"
         for cells, fmt, sep, head in ((floats, "%.9g", ",", ""), (grays, "%d", " ", header)):
             dense = np.zeros((n, n), dtype=cells.dtype)
             dense[rows, cols] = cells
-            got = written(tmp_path, lambda p: tables.write_matrix_text(p, indptr, rows, cells,
-                                                                      fmt, sep, head))
+            got = written(tmp_path, lambda p: tables.write_matrix_text(
+                p, n, tables.matrix_rows(indptr, rows, cells), fmt, sep, head))
             assert got == dense_text(dense, fmt, sep, head), fmt
 
     def test_gathered_writes(self, tmp_path, monkeypatch):
@@ -234,7 +233,8 @@ class TestMatrixWriter:
         cells = np.random.default_rng(0).random(len(rows))
         tracemalloc.start()
         try:
-            tables.write_matrix_text(tmp_path / "m.csv", indptr, rows, cells, "%.9g", ",")
+            tables.write_matrix_text(tmp_path / "m.csv", n, tables.matrix_rows(indptr, rows, cells),
+                                     "%.9g", ",")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -252,12 +252,11 @@ class TestMatrixLayout:
     columns that hold them."""
 
     # n (n + 1) passes 2^31 at n = 46,341, and a column no longer fits in
-    # 2 bytes at n = 65,537; the walk must not depend on ``CHUNK_CELLS``
-    @pytest.mark.parametrize("chunk", [7, tables.CHUNK_CELLS])
+    # 2 bytes at n = 65,537; each chunk seeds the rows, columns and cells
+    @pytest.mark.parametrize("chunk", [7, 1 << 14])
     @pytest.mark.parametrize("n", [50_000, 70_000])
-    def test_large_sparse_matrix(self, monkeypatch, n, chunk):
-        monkeypatch.setattr(tables, "CHUNK_CELLS", chunk)
-        rng = np.random.default_rng(n)
+    def test_large_sparse_matrix(self, n, chunk):
+        rng = np.random.default_rng(n if chunk == 7 else (n, chunk))
         # the first and last rows and columns, runs of adjacent ones and
         # some scattered ones, filled at random: about 300 cells
         ends = [0, 1, 2, 46_339, 46_340, 46_341, n - 2, n - 1]
@@ -274,7 +273,8 @@ class TestMatrixLayout:
         storage.T[block.T] = np.arange(len(rows))
         block_rows, block_cols = np.nonzero(block)  # row-major
         r, c = used_rows[block_rows], used_cols[block_cols]
-        walked = list(tables.matrix_rows(indptr, rows))
+        # each cell's value is its place in the storage
+        walked = list(tables.matrix_rows(indptr, rows, np.arange(len(rows))))
         # one entry per row that holds a cell, in ascending row order
         assert [row for row, _, _ in walked] == np.unique(r).tolist()
         assert np.array_equal(np.concatenate([np.full(len(cols), row)
